@@ -3,7 +3,9 @@
 Estimates are built from 65536-trial blocks, each drawn from a counter-based
 Philox substream keyed by (seed, point, block).  That makes every number
 bit-exact reproducible and lets deep-tail points escalate their trial count
-without disturbing anything else.
+without disturbing anything else.  The blocks of a point run on a thread pool
+sized to the CPU affinity, and each escalation step reuses the complete blocks
+already counted; the estimates keep the same bits either way.
 
 Run:  python demos/demo_monte_carlo_engine.py
 """

@@ -77,7 +77,13 @@ def draw_snr(avg, gen: np.random.Generator, size=None):
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
     u = gen.random(size)
     # u in [0, 1), so 1-u in (0, 1] and the log is finite.
-    return -gamma_bar * np.log1p(-u)
+    if size is None:
+        return -gamma_bar * np.log1p(-u)
+    # Same operations in place, so a block holds one array instead of three.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= -gamma_bar
+    return u
 
 
 def sample_rayleigh_snr(avg, rng) -> float:

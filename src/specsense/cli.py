@@ -351,7 +351,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ConvergenceError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (ConvergenceError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

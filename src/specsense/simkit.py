@@ -3,7 +3,10 @@
 Trials are vectorized in fixed-size blocks of 65536; block b of a point draws
 from the Philox substream (seed, stream_id, b), so an estimate is bit-exact
 reproducible for a given seed and total trial count no matter how blocks are
-scheduled, and results merge by plain integer-count addition.
+scheduled, and results merge by plain integer-count addition.  Blocks run
+concurrently on a thread pool sized to the CPU affinity (numpy's generators
+and ufuncs release the GIL), and an escalating point keeps the counts of the
+blocks it has already drawn.
 
 Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
@@ -14,7 +17,10 @@ per-sample draws and two orders of magnitude faster.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,25 +160,29 @@ def _batch_decisions(config: SchemeConfig, hypothesis: str,
     avg = config.avg_snr
     p = config.payload
 
+    # Products and sums are formed in place so that concurrent blocks stay
+    # small; x *= c and x += 1 give the same bits as c * x and 1 + x.
     if config.variant == "noncoop":
         y = gen.chisquare(2 * p.m, n)
         if signal:
-            y *= 1.0 + draw_snr(avg, gen, n)
+            y *= _one_plus_snr(avg, gen, n)
         return y > p.lam
 
     if config.variant == "coop":
         d = p.per_user
         y = gen.chisquare(2 * d.m, (n, p.n_users))
         if signal:
-            y *= 1.0 + draw_snr(avg, gen, (n, p.n_users))
+            y *= _one_plus_snr(avg, gen, (n, p.n_users))
         return (y > d.lam).sum(axis=1) >= p.n_vote
 
     if config.variant == "reconfig-switching":
         if signal:
-            gammas = 1.0 + draw_snr(avg, gen, (n, len(p.alloc)))
+            gammas = _one_plus_snr(avg, gen, (n, len(p.alloc)))
             y = np.zeros(n)
             for j, dwell in enumerate(p.alloc):
-                y += gammas[:, j] * gen.chisquare(2 * dwell, n)
+                energy = gen.chisquare(2 * dwell, n)
+                energy *= gammas[:, j]
+                y += energy
         else:
             y = gen.chisquare(2 * sum(p.alloc), n)
         return y > p.lam
@@ -180,8 +190,17 @@ def _batch_decisions(config: SchemeConfig, hypothesis: str,
     # reconfig-selection: sense the whole window on the best of Q states.
     y = gen.chisquare(2 * p.m, n)
     if signal:
-        y *= 1.0 + draw_snr(avg, gen, (n, p.q)).max(axis=1)
+        gain = draw_snr(avg, gen, (n, p.q)).max(axis=1)
+        gain += 1.0
+        y *= gain
     return y > p.lam
+
+
+def _one_plus_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
+    """1 + gamma for an array of fading draws, formed in the draw's own array."""
+    gain = draw_snr(avg, gen, size)
+    gain += 1.0
+    return gain
 
 
 def run_trial(config: SchemeConfig, hypothesis: str, rng) -> bool:
@@ -200,7 +219,9 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     order.  When ``min_events`` is given, the trial count escalates tenfold
     (capped at ``max_trials``) until that many decisions on ``floor_side``
     have been seen; flooring on "absent" keeps deep-tail missed-detection
-    points eligible for slope fits.
+    points eligible for slope fits.  Each step draws only the blocks that no
+    earlier step has counted, so escalating to T trials gives the same bits
+    as asking for T trials at once.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
@@ -208,17 +229,20 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
         raise ValueError(f"floor_side must be 'present' or 'absent', got {floor_side!r}")
     base = RandomStream(seed=seed, stream_id=stream_id)
 
+    def count(block: tuple[int, int]) -> int:
+        block_idx, take = block
+        gen = base.substream(block_idx).generator()
+        return int(_batch_decisions(config, hypothesis, gen, take).sum())
+
+    # Hits per (block_idx, take).  A complete block is the same draw at every
+    # escalation step; a partial last block is drawn again at its new size.
+    counted: dict[tuple[int, int], int] = {}
+
     def run(total: int) -> int:
-        hits = 0
-        done = 0
-        block_idx = 0
-        while done < total:
-            take = min(_BLOCK, total - done)
-            gen = base.substream(block_idx).generator()
-            hits += int(_batch_decisions(config, hypothesis, gen, take).sum())
-            done += take
-            block_idx += 1
-        return hits
+        plan = _block_plan(total)
+        todo = [block for block in plan if block not in counted]
+        counted.update(zip(todo, _map_blocks(count, todo)))
+        return sum(counted[block] for block in plan)
 
     trials = int(trials)
     hits = run(trials)
@@ -229,6 +253,54 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
             trials = min(trials * 10, int(max_trials))
             hits = run(trials)
     return McEstimate.from_counts(hits, trials, seed)
+
+
+def _block_plan(total: int) -> list[tuple[int, int]]:
+    """The (block_idx, take) pairs that make up ``total`` trials."""
+    full, rest = divmod(total, _BLOCK)
+    plan = [(block_idx, _BLOCK) for block_idx in range(full)]
+    if rest:
+        plan.append((full, rest))
+    return plan
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, blocks: list) -> list:
+    """``[fn(b) for b in blocks]``, on the shared thread pool when that can help."""
+    workers = _worker_count()
+    if len(blocks) < 2 or workers < 2:
+        return [fn(b) for b in blocks]
+    return list(_shared_pool(workers).map(fn, blocks))
+
+
+def _shared_pool(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="specsense-mc")
+        return _pool
+
+
+def _drop_pool_in_child() -> None:
+    # The parent's worker threads do not exist in a forked child.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
 def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,

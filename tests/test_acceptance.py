@@ -44,6 +44,9 @@ from specsense.specfun import (
     reg_upper_gamma,
 )
 
+# The gate spends minutes in deep-tail Monte Carlo; `-m "not slow"` skips it.
+pytestmark = pytest.mark.slow
+
 Z99 = 2.576
 REFS_PATH = Path(__file__).parent / "reference" / "acceptance_refs.json"
 

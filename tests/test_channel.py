@@ -91,6 +91,15 @@ class TestRayleighSampling:
         gen = RandomStream(seed=4).generator()
         assert (draw_snr(AvgSnr(0.5), gen, 10 ** 4) >= 0.0).all()
 
+    @pytest.mark.parametrize("size", [1000, (500, 7)])
+    def test_array_draw_is_the_inverse_cdf_bit_for_bit(self, size):
+        stream = RandomStream(seed=5, stream_id=2)
+        got = draw_snr(AvgSnr(3.7), stream.generator(), size)
+        u = stream.generator().random(size)
+        want = -3.7 * np.log1p(-u)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestSampleStates:
     def test_single_state_equals_scalar_draw(self):

@@ -2,11 +2,14 @@
 
 import csv
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import specsense
 from specsense.cli import (
     CSV_HEADER,
     ScenarioFile,
@@ -89,6 +92,14 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_sweep", boom)
         path = write_scenario(tmp_path / "s.txt")
         assert main(["sweep", "--scenario", path]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_switching_overflow_exits_three(self, tmp_path, capsys):
+        # avg_pmd_switching overflows math.exp for M = 1000.
+        path = write_scenario(tmp_path / "s.txt", scheme="switching", m=1000,
+                              q=10, mode="analytic")
+        assert main(["sweep", "--scenario", path,
+                     "--out", str(tmp_path / "o.csv")]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
 
@@ -200,9 +211,14 @@ class TestConsoleEntry:
         path = write_scenario(tmp_path / "s.txt", mode="analytic",
                               snr_stop_db=-4)
         out = tmp_path / "cli.csv"
+        # The child imports the same specsense as this process, installed or not.
+        package_root = str(Path(specsense.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "specsense.cli", "sweep", "--scenario",
              path, "--out", str(out)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
         assert out.exists()

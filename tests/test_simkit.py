@@ -5,10 +5,14 @@ it was not derived from, at fixed seeds and pinned trial counts.
 """
 
 import math
+import multiprocessing
+import sys
+import threading
 import warnings
 
 import pytest
 
+from specsense import simkit
 from specsense.channel import AvgSnr, RandomStream
 from specsense.detector import calibrate_lambda, pf_single
 from specsense.fusion import global_pmd
@@ -240,3 +244,133 @@ class TestSlopeFit:
                       min_events=100, max_trials=10 ** 7)
         slope = fit_diversity_slope(curve, (25, 40))
         assert slope == pytest.approx(1.0, abs=0.1)
+
+
+# Exact hit counts at 200 000 = 3 * 65536 + 3392 trials (three complete blocks
+# and a partial one), seed 2024, stream 3, 5 dB.  Any change to the draws, their
+# order or their arithmetic moves these integers.
+GOLDEN_TRIALS = 200_000
+GOLDEN_HITS = {
+    ("noncoop", "H0"): 14033, ("noncoop", "H1"): 163924,
+    ("coop", "H0"): 8502, ("coop", "H1"): 195308,
+    ("switching", "H0"): 11547, ("switching", "H1"): 197586,
+    ("selection", "H0"): 11547, ("selection", "H1"): 199696,
+}
+
+
+GOLDEN_CONFIGS = {
+    "noncoop": SchemeConfig.noncoop(10, 30.0, AvgSnr.from_db(5.0)),
+    "coop": SchemeConfig.coop(4, 2, 8, 24.0, AvgSnr.from_db(5.0)),
+    "switching": SchemeConfig.switching(4, 20, 55.0, AvgSnr.from_db(5.0)),
+    "selection": SchemeConfig.selection(4, 20, 55.0, AvgSnr.from_db(5.0)),
+}
+
+
+# noncoop M = 10 at 35 dB escalates 1000 -> 1e4 -> 1e5 -> 1e6 trials.
+DEEP = SchemeConfig.noncoop(10, 31.410432844230918, AvgSnr.from_db(35.0))
+
+
+def escalated_deep_point():
+    return estimate_point(DEEP, "H1", 1000, seed=7, min_events=100,
+                          max_trials=10 ** 7)
+
+
+def _estimate_in_child(queue):
+    queue.put(escalated_deep_point())
+
+
+class TestGoldenCounts:
+    @pytest.mark.parametrize("scheme, hypothesis", sorted(GOLDEN_HITS))
+    def test_exact_hits(self, scheme, hypothesis):
+        est = estimate_point(GOLDEN_CONFIGS[scheme], hypothesis, GOLDEN_TRIALS,
+                             seed=2024, stream_id=3)
+        assert est.trials == GOLDEN_TRIALS
+        assert est.events == GOLDEN_HITS[scheme, hypothesis]
+        assert est.value == GOLDEN_HITS[scheme, hypothesis] / GOLDEN_TRIALS
+
+    def test_escalated_point(self):
+        est = escalated_deep_point()
+        assert est.trials == 10 ** 6
+        assert est.trials - est.events == 255
+
+    def test_escalation_equals_fixed_budget(self):
+        est = escalated_deep_point()
+        assert est == estimate_point(DEEP, "H1", est.trials, seed=7)
+
+
+class TestBlockScheduling:
+    def test_pooled_equals_inline(self, monkeypatch):
+        cfg = GOLDEN_CONFIGS["coop"]
+        pooled = estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024, stream_id=3)
+        deep_pooled = escalated_deep_point()
+        monkeypatch.setattr(simkit, "_worker_count", lambda: 1)
+        assert estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024,
+                              stream_id=3) == pooled
+        assert escalated_deep_point() == deep_pooled
+
+    def test_each_block_drawn_once_per_point(self, monkeypatch):
+        drawn = []
+        batch = simkit._batch_decisions
+
+        def spy(config, hypothesis, gen, n):
+            drawn.append(n)
+            return batch(config, hypothesis, gen, n)
+
+        monkeypatch.setattr(simkit, "_batch_decisions", spy)
+        escalated_deep_point()
+        # 1000, 10 000, then 65536 + 34464, then block 0 reused: 14 new
+        # complete blocks and a partial block of 16960.
+        assert sorted(drawn) == sorted(
+            [1000, 10_000, 34_464, 16_960] + [65_536] * 15)
+
+    def test_concurrent_callers_get_their_own_counts(self):
+        cfg = GOLDEN_CONFIGS["coop"]
+        want = estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024, stream_id=3)
+        results = [None] * 6
+        errors = []
+
+        def call(i):
+            try:
+                results[i] = estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024,
+                                            stream_id=3)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,))
+                       for i in range(len(results))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert errors == []
+        assert results == [want] * len(results)
+
+    def test_worker_exception_propagates(self, monkeypatch):
+        def fail(config, hypothesis, gen, n):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(simkit, "_batch_decisions", fail)
+        with pytest.raises(FloatingPointError, match="forced"):
+            estimate_point(GOLDEN_CONFIGS["noncoop"], "H1", GOLDEN_TRIALS, seed=1)
+
+    def test_completes_in_forked_child(self):
+        want = escalated_deep_point()  # the parent's pool exists from here on
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_estimate_in_child, args=(queue,))
+        child.start()
+        try:
+            got = queue.get(timeout=60)
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        assert got == want
