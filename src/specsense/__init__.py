@@ -12,13 +12,10 @@ from .channel import (
     RandomStream,
     max_state_pdf_dominant,
     max_state_pdf_exact,
-    sample_rayleigh_snr,
-    sample_states,
 )
 from .detector import (
     DetectorParams,
     GainSummary,
-    OperatingPoint,
     asymptotic_pmd_single,
     avg_pd_closed,
     avg_pd_numeric,
@@ -30,7 +27,6 @@ from .detector import (
 from .fusion import (
     FusionParams,
     asymptotic_pmd_coop,
-    binom_lower,
     binom_tail,
     calibrate_local_lambda_global,
     gains_coop,
@@ -59,7 +55,6 @@ from .simkit import (
     SweepPoint,
     estimate_point,
     fit_diversity_slope,
-    run_trial,
     sweep,
 )
 from .specfun import ConvergenceError
@@ -73,7 +68,6 @@ __all__ = [
     "FusionParams",
     "GainSummary",
     "McEstimate",
-    "OperatingPoint",
     "RandomStream",
     "ReconfigParams",
     "SchemeConfig",
@@ -87,7 +81,6 @@ __all__ = [
     "avg_pd_numeric",
     "avg_pmd_selection",
     "avg_pmd_switching",
-    "binom_lower",
     "binom_tail",
     "calibrate_lambda",
     "calibrate_local_lambda_global",
@@ -107,9 +100,6 @@ __all__ = [
     "pmd_switching_asymptotic_conditional",
     "pmd_switching_conditional",
     "reduced_samples",
-    "run_trial",
-    "sample_rayleigh_snr",
-    "sample_states",
     "selection_gain",
     "selection_gain_large_q",
     "sweep",

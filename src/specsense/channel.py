@@ -64,38 +64,16 @@ class RandomStream:
         return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
 
 
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RandomStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng)!r}")
-
-
-def draw_snr(avg, gen: np.random.Generator, size=None):
+def draw_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
     """Exponential(mean gamma_bar) SNR draws via inverse CDF of uniforms."""
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
     u = gen.random(size)
-    # u in [0, 1), so 1-u in (0, 1] and the log is finite.
-    if size is None:
-        return -gamma_bar * np.log1p(-u)
-    # Same operations in place, so a block holds one array instead of three.
+    # u in [0, 1), so 1-u in (0, 1] and the log is finite.  The operations
+    # run in place, so a block holds one array instead of three.
     np.negative(u, out=u)
     np.log1p(u, out=u)
     u *= -gamma_bar
     return u
-
-
-def sample_rayleigh_snr(avg, rng) -> float:
-    """One instantaneous-SNR draw under Rayleigh fading."""
-    return float(draw_snr(avg, _as_generator(rng)))
-
-
-def sample_states(avg, q: int, rng) -> np.ndarray:
-    """Q i.i.d. per-state SNR realizations gamma_1..gamma_Q."""
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    return draw_snr(avg, _as_generator(rng), size=int(q))
 
 
 def max_state_pdf_exact(gamma_max, avg, q: int):

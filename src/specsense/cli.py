@@ -27,13 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AvgSnr
-from .detector import avg_pd_numeric, calibrate_lambda, pf_single
-from .fusion import calibrate_local_lambda_global, global_pf, global_pmd
-from .reconfig import avg_pmd_selection, avg_pmd_switching, reduced_samples
-from .simkit import SchemeConfig, estimate_point, fit_diversity_slope, sweep
+from .detector import pf_single
+from .fusion import global_pf
+from .reconfig import reduced_samples
+from .simkit import (SCENARIO_SCHEMES, SchemeConfig, estimate_point,
+                     fit_diversity_slope, sweep)
 from .specfun import ConvergenceError
 
-_SCHEMES = ("noncoop", "coop", "switching", "selection")
 _MODES = ("analytic", "mc", "both")
 CSV_HEADER = ("scheme", "snr_db", "pf_analytic", "pmd_analytic",
               "pf_mc", "pf_ci", "pmd_mc", "pmd_ci", "trials", "seed")
@@ -63,8 +63,9 @@ class ScenarioFile:
     def __post_init__(self):
         if self.schema != 1:
             raise ValueError(f"unsupported scenario schema {self.schema!r}")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
+        if self.scheme not in SCENARIO_SCHEMES:
+            raise ValueError(
+                f"scheme must be one of {tuple(SCENARIO_SCHEMES)}, got {self.scheme!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -114,36 +115,23 @@ def parse_scenario(path: str) -> ScenarioFile:
 
 def build_config(sc: ScenarioFile, snr_db: float = 0.0) -> SchemeConfig:
     """Calibrated SchemeConfig for a scenario (threshold set from alpha)."""
-    avg = AvgSnr.from_db(snr_db)
-    if sc.scheme == "noncoop":
-        return SchemeConfig.noncoop(sc.m, calibrate_lambda(sc.m, sc.alpha), avg,
-                                    alpha=sc.alpha)
-    if sc.scheme == "coop":
-        lam = calibrate_local_lambda_global(sc.n_users, sc.n_vote, sc.m, sc.alpha)
-        return SchemeConfig.coop(sc.n_users, sc.n_vote, sc.m, lam, avg, alpha=sc.alpha)
-    lam = calibrate_lambda(sc.m, sc.alpha)
-    if sc.scheme == "switching":
-        return SchemeConfig.switching(sc.q, sc.m, lam, avg)
-    return SchemeConfig.selection(sc.q, sc.m, lam, avg)
+    scheme = SCENARIO_SCHEMES[sc.scheme]
+    return SchemeConfig(scheme.variant, scheme.payload(sc),
+                        AvgSnr.from_db(snr_db)).with_alpha(sc.alpha)
 
 
 def analytic_columns(config: SchemeConfig, snr_db: float) -> tuple[float, float]:
     """(pf, pmd) analytic columns for one scheme at one average SNR.
 
-    The switching column is the averaged small-CDF asymptote (its absolute
-    level is only meaningful at high SNR and is clamped into [0, 1]); all
-    other schemes are exact quadrature values.
+    The switching column is the averaged small-CDF asymptote clamped into
+    [0, 1].  The asymptote exceeds 1 wherever the miss probability is not
+    small, so for fig2's switching curve (Q = 10, M = 100, alpha = 0.05) the
+    column reads 1 at all 41 points of the default -20..20 dB grid.  The
+    exact switching values are the Talbot inversions in
+    ``tests/reference/acceptance_refs.json``.  All other schemes are exact
+    quadrature values.
     """
-    avg = AvgSnr.from_db(snr_db)
-    p = config.payload
-    if config.variant == "noncoop":
-        return pf_single(p.m, p.lam), 1.0 - avg_pd_numeric(p.m, p.lam, avg)
-    if config.variant == "coop":
-        return global_pf(p), global_pmd(p, avg)
-    if config.variant == "reconfig-switching":
-        pmd = min(1.0, avg_pmd_switching(p, avg, method="quadrature"))
-        return pf_single(p.m, p.lam), pmd
-    return pf_single(p.m, p.lam), avg_pmd_selection(p.m, p.lam, avg, p.q)
+    return config.scheme.analytic(config.payload, AvgSnr.from_db(snr_db))
 
 
 def figure_setups(which: str, alpha: float | None = None):
@@ -281,18 +269,10 @@ def cmd_slope(sc: ScenarioFile) -> int:
     lo = sc.window_lo_db if sc.window_lo_db is not None else sc.snr_start_db
     hi = sc.window_hi_db if sc.window_hi_db is not None else sc.snr_stop_db
     fitted = fit_diversity_slope(curve, (lo, hi))
-    analytic = _analytic_diversity(sc)
+    analytic = config.scheme.diversity(config.payload)
     print(f"fitted_slope={fitted:.4f} analytic_diversity={analytic:.4f} "
           f"window=[{lo},{hi}] dB")
     return 0
-
-
-def _analytic_diversity(sc: ScenarioFile) -> float:
-    if sc.scheme == "noncoop":
-        return 1.0
-    if sc.scheme == "coop":
-        return float(sc.n_users - sc.n_vote + 1)
-    return float(min(sc.m, sc.q))
 
 
 def _build_parser() -> argparse.ArgumentParser:

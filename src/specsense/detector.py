@@ -63,37 +63,6 @@ class DetectorParams:
 
 
 @dataclass(frozen=True)
-class OperatingPoint:
-    """(P_F, P_D, P_md) triple with provenance and CI half-width."""
-
-    pf: float
-    pd: float
-    pmd: float
-    provenance: str  # "analytic" | "asymptotic" | "monte-carlo"
-    ci_halfwidth: float = 0.0
-
-    def __post_init__(self):
-        if self.provenance not in ("analytic", "asymptotic", "monte-carlo"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        for name, v in (("pf", self.pf), ("pd", self.pd), ("pmd", self.pmd)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v!r} outside [0, 1]")
-        if abs(self.pmd - (1.0 - self.pd)) > 1e-12:
-            raise ValueError("pmd and 1 - pd disagree beyond 1e-12")
-        if self.ci_halfwidth < 0.0:
-            raise ValueError("ci_halfwidth must be >= 0")
-
-    @classmethod
-    def from_pmd(cls, pf: float, pmd: float, provenance: str,
-                 ci_halfwidth: float = 0.0) -> "OperatingPoint":
-        """Assemble a point, clamping raw pf/pmd into [0, 1]."""
-        pf = min(1.0, max(0.0, pf))
-        pmd = min(1.0, max(0.0, pmd))
-        return cls(pf=pf, pd=1.0 - pmd, pmd=pmd, provenance=provenance,
-                   ci_halfwidth=ci_halfwidth)
-
-
-@dataclass(frozen=True)
 class GainSummary:
     """Diversity order and (where quantified) coding / selection gains."""
 
@@ -196,7 +165,7 @@ def asymptotic_pmd_single(m: int, lam: float, avg) -> float:
     """High-SNR missed-detection asymptote lam / (2 gamma_bar (M - 1)).
 
     Returned raw (it exceeds 1 at low gamma_bar) so log-domain slope fits
-    stay meaningful; operating-point assemblers clamp.
+    stay meaningful; callers that report a probability clamp it.
     """
     params = DetectorParams(m=m, lam=lam)
     if params.m < 2:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy import special as _sp
+
 from .channel import AvgSnr
 from .detector import (
     DetectorParams,
@@ -40,7 +42,7 @@ class FusionParams:
 
 
 def binom_tail(n: int, k_min: int, p: float) -> float:
-    """P(X >= k_min) for X ~ Binomial(n, p), summed term by term in log domain."""
+    """P(X >= k_min) for X ~ Binomial(n, p), as I_p(k_min, n - k_min + 1)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"success probability must be in [0, 1], got {p!r}")
     if k_min <= 0:
@@ -51,30 +53,7 @@ def binom_tail(n: int, k_min: int, p: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    terms = [math.exp(log_binom(n, k) + k * log_p + (n - k) * log_q)
-             for k in range(k_min, n + 1)]
-    return min(1.0, math.fsum(terms))
-
-
-def binom_lower(n: int, k_max: int, p: float) -> float:
-    """P(X <= k_max) for X ~ Binomial(n, p); complement of binom_tail."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"success probability must be in [0, 1], got {p!r}")
-    if k_max < 0:
-        return 0.0
-    if k_max >= n:
-        return 1.0
-    if p == 0.0:
-        return 1.0
-    if p == 1.0:
-        return 0.0
-    log_p = math.log(p)
-    log_q = math.log1p(-p)
-    terms = [math.exp(log_binom(n, k) + k * log_p + (n - k) * log_q)
-             for k in range(0, k_max + 1)]
-    return min(1.0, math.fsum(terms))
+    return float(_sp.betainc(k_min, n - k_min + 1, p))
 
 
 def global_pf(params: FusionParams) -> float:
@@ -113,9 +92,9 @@ def calibrate_local_lambda_global(n_users: int, n_vote: int, m: int,
                                   alpha: float) -> float:
     """Local threshold such that the global false alarm equals alpha.
 
-    Solves the monotone scalar equation binom_tail(N, n, p) = alpha for the
-    local P_F by bisection, then maps p to lambda through the inverse
-    incomplete gamma.  The result satisfies |P_F_G - alpha| <= 1e-9.
+    Inverts binom_tail(N, n, p) = alpha for the local P_F through the inverse
+    incomplete beta, then maps p to lambda through the inverse incomplete
+    gamma.  The result satisfies |P_F_G - alpha| <= 1e-9.
     """
     params = FusionParams(n_users=n_users, n_vote=n_vote,
                           per_user=DetectorParams(m=m, lam=1.0, alpha=alpha))
@@ -124,17 +103,7 @@ def calibrate_local_lambda_global(n_users: int, n_vote: int, m: int,
     if params.n_users == 1:
         return calibrate_lambda(m, alpha)
 
-    lo, hi = 0.0, 1.0
-    p = alpha
-    for _ in range(200):
-        f = binom_tail(n_users, n_vote, p) - alpha
-        if abs(f) <= 1e-14:
-            break
-        if f > 0.0:
-            hi = p
-        else:
-            lo = p
-        p = 0.5 * (lo + hi)
+    p = float(_sp.betaincinv(n_vote, n_users - n_vote + 1, alpha))
     lam = 2.0 * inv_reg_upper_gamma(float(m), p)
     achieved = binom_tail(n_users, n_vote, pf_single(m, lam))
     if abs(achieved - alpha) > 1e-9:

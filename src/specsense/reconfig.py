@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from scipy import integrate as _integrate
 
 from .channel import AvgSnr
-from .detector import DetectorParams, GainSummary
+from .detector import DetectorParams, GainSummary, _knee_knots
 from .specfun import (
     EULER_GAMMA,
     ConvergenceError,
@@ -63,7 +63,6 @@ class ReconfigParams:
     m: int
     alloc: tuple[int, ...]
     lam: float
-    csi_mode: str  # "switching" | "selection"
 
     def __post_init__(self):
         if int(self.q) != self.q or self.q < 1:
@@ -72,8 +71,6 @@ class ReconfigParams:
             raise ValueError(f"sample count M must be an integer >= 1, got {self.m!r}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"threshold must be finite and > 0, got {self.lam!r}")
-        if self.csi_mode not in ("switching", "selection"):
-            raise ValueError(f"csi_mode must be switching or selection, got {self.csi_mode!r}")
         if any(int(l) != l or l < 1 for l in self.alloc):
             raise ValueError(f"dwell lengths must be positive integers, got {self.alloc!r}")
         if sum(self.alloc) > self.m:
@@ -81,8 +78,8 @@ class ReconfigParams:
                 f"allocation {self.alloc!r} exceeds the sample budget M={self.m}")
 
     @classmethod
-    def make(cls, q: int, m: int, lam: float, csi_mode: str) -> "ReconfigParams":
-        return cls(q=q, m=m, alloc=allocate_samples(m, q), lam=lam, csi_mode=csi_mode)
+    def make(cls, q: int, m: int, lam: float) -> "ReconfigParams":
+        return cls(q=q, m=m, alloc=allocate_samples(m, q), lam=lam)
 
 
 @dataclass(frozen=True)
@@ -262,7 +259,6 @@ def avg_pmd_selection(m: int, lam: float, avg, q: int,
         return (reg_lower_gamma(m_f, params.lam / (2.0 * (1.0 + gamma_bar * t)))
                 * weight(t))
 
-    from .detector import _knee_knots
     knee = (params.lam / (2.0 * m_f) - 1.0) / gamma_bar
     points = _knee_knots(knee, cut)
     value, abserr = _integrate.quad(integrand, 0.0, cut, points=points,

@@ -1,4 +1,8 @@
-"""Monte Carlo engine for all three sensing schemes.
+"""Monte Carlo engine for all three sensing schemes, and the scheme table.
+
+Each sensing scheme is described once, by one object in ``SCHEMES``: its
+scenario and variant names, payload type, threshold from alpha, analytic
+(pf, pmd) columns, per-block decisions, diversity order and sample count.
 
 Trials are vectorized in fixed-size blocks of 65536; block b of a point draws
 from the Philox substream (seed, stream_id, b), so an estimate is bit-exact
@@ -26,76 +30,198 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import AvgSnr, RandomStream, draw_snr
-from .detector import DetectorParams, calibrate_lambda
-from .fusion import FusionParams, calibrate_local_lambda_global
-from .reconfig import ReconfigParams, allocate_samples
+from .detector import DetectorParams, avg_pd_numeric, calibrate_lambda, pf_single
+from .fusion import FusionParams, calibrate_local_lambda_global, global_pf, global_pmd
+from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
 
 _BLOCK = 1 << 16
 _Z99 = 2.576  # two-sided 99% normal quantile
 
-VARIANTS = ("noncoop", "coop", "reconfig-switching", "reconfig-selection")
+
+# The scheme methods call the analytic functions through this module's
+# globals at call time, so a wrapper installed on those bindings sees them.
+class _Noncoop:
+    """One user senses M samples.  Each scheme below overrides what differs.
+
+    ``payload`` builds the scheme's parameters from a scenario's fields with
+    a placeholder threshold; ``threshold`` returns them with the threshold
+    set so that the scheme's P_F equals alpha.  Decisions are per block,
+    True = present.
+    """
+
+    variant = scenario = "noncoop"
+    payload_type = DetectorParams
+
+    def payload(self, sc):
+        return DetectorParams(m=sc.m, lam=1.0, alpha=sc.alpha)
+
+    def threshold(self, p, alpha: float):
+        return replace(p, lam=calibrate_lambda(p.m, alpha))
+
+    def total_samples(self, p) -> int:
+        return p.m
+
+    def diversity(self, p) -> float:
+        return 1.0
+
+    def analytic(self, p, avg) -> tuple[float, float]:
+        return pf_single(p.m, p.lam), 1.0 - avg_pd_numeric(p.m, p.lam, avg)
+
+    # Products and sums are formed in place so that concurrent blocks stay
+    # small; x *= c and x += 1 give the same bits as c * x and 1 + x.
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+        y = gen.chisquare(2 * p.m, n)
+        if signal:
+            y *= _one_plus_snr(avg, gen, n)
+        return y > p.lam
+
+
+class _Coop(_Noncoop):
+    """N users, n-out-of-N fusion; the threshold holds the global level alpha."""
+
+    variant = scenario = "coop"
+    payload_type = FusionParams
+
+    def payload(self, sc):
+        return FusionParams(n_users=sc.n_users, n_vote=sc.n_vote,
+                            per_user=super().payload(sc))
+
+    def threshold(self, p, alpha: float):
+        lam = calibrate_local_lambda_global(p.n_users, p.n_vote, p.per_user.m, alpha)
+        return replace(p, per_user=replace(p.per_user, lam=lam))
+
+    def total_samples(self, p) -> int:
+        return p.n_users * p.per_user.m
+
+    def diversity(self, p) -> float:
+        return float(p.n_users - p.n_vote + 1)
+
+    def analytic(self, p, avg) -> tuple[float, float]:
+        return global_pf(p), global_pmd(p, avg)
+
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+        d = p.per_user
+        y = gen.chisquare(2 * d.m, (n, p.n_users))
+        if signal:
+            y *= _one_plus_snr(avg, gen, (n, p.n_users))
+        return (y > d.lam).sum(axis=1) >= p.n_vote
+
+
+class _Switching(_Noncoop):
+    """One user dwells l_j samples on each of Q antenna states.
+
+    The reconfigurable schemes share the noncoop H0 statistic, chi-square(2M),
+    and so its threshold.
+    """
+
+    variant, scenario = "reconfig-switching", "switching"
+    payload_type = ReconfigParams
+
+    def payload(self, sc):
+        return ReconfigParams.make(sc.q, sc.m, 1.0)
+
+    def diversity(self, p) -> float:
+        return float(min(p.m, p.q))
+
+    def analytic(self, p, avg) -> tuple[float, float]:
+        pmd = min(1.0, avg_pmd_switching(p, avg, method="quadrature"))
+        return pf_single(p.m, p.lam), pmd
+
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+        if signal:
+            gammas = _one_plus_snr(avg, gen, (n, len(p.alloc)))
+            y = np.zeros(n)
+            for j, dwell in enumerate(p.alloc):
+                energy = gen.chisquare(2 * dwell, n)
+                energy *= gammas[:, j]
+                y += energy
+        else:
+            y = gen.chisquare(2 * sum(p.alloc), n)
+        return y > p.lam
+
+
+class _Selection(_Switching):
+    """One user senses the whole window on the best of Q antenna states."""
+
+    variant, scenario = "reconfig-selection", "selection"
+
+    def analytic(self, p, avg) -> tuple[float, float]:
+        return pf_single(p.m, p.lam), avg_pmd_selection(p.m, p.lam, avg, p.q)
+
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+        y = gen.chisquare(2 * p.m, n)
+        if signal:
+            gain = draw_snr(avg, gen, (n, p.q)).max(axis=1)
+            gain += 1.0
+            y *= gain
+        return y > p.lam
+
+
+#: The sensing schemes by ``SchemeConfig.variant`` and by scenario name.
+SCHEMES = {s.variant: s for s in (_Noncoop(), _Coop(), _Switching(), _Selection())}
+SCENARIO_SCHEMES = {s.scenario: s for s in SCHEMES.values()}
 
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """A sensing scheme bound to an average SNR for simulation."""
+    """A sensing scheme bound to an average SNR for simulation.
+
+    The payload's threshold is used as given; the factories that take
+    ``alpha`` and :meth:`with_alpha` set it from the NP level.
+    """
 
     variant: str
     payload: DetectorParams | FusionParams | ReconfigParams
     avg_snr: AvgSnr
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in SCHEMES:
             raise ValueError(f"unknown scheme variant {self.variant!r}")
-        expected = {
-            "noncoop": DetectorParams,
-            "coop": FusionParams,
-            "reconfig-switching": ReconfigParams,
-            "reconfig-selection": ReconfigParams,
-        }[self.variant]
+        expected = self.scheme.payload_type
         if not isinstance(self.payload, expected):
             raise ValueError(
                 f"variant {self.variant!r} needs a {expected.__name__} payload, "
                 f"got {type(self.payload).__name__}")
-        if self.variant == "reconfig-switching" and self.payload.csi_mode != "switching":
-            raise ValueError("switching variant requires csi_mode='switching'")
-        if self.variant == "reconfig-selection" and self.payload.csi_mode != "selection":
-            raise ValueError("selection variant requires csi_mode='selection'")
+
+    @property
+    def scheme(self) -> _Noncoop:
+        return SCHEMES[self.variant]
 
     @property
     def total_samples(self) -> int:
         """Total sensed samples: N*M for the cooperative network, M otherwise."""
-        if self.variant == "coop":
-            return self.payload.n_users * self.payload.per_user.m
-        return self.payload.m
+        return self.scheme.total_samples(self.payload)
 
     def with_snr(self, avg) -> "SchemeConfig":
         return replace(self, avg_snr=AvgSnr.coerce(avg))
 
+    def with_alpha(self, alpha: float) -> "SchemeConfig":
+        """Copy with the threshold set so that the scheme's P_F equals alpha."""
+        return replace(self, payload=self.scheme.threshold(self.payload, alpha))
+
     @classmethod
     def noncoop(cls, m: int, lam: float, avg, alpha: float | None = None) -> "SchemeConfig":
-        return cls("noncoop", DetectorParams(m=m, lam=lam, alpha=alpha),
-                   AvgSnr.coerce(avg))
+        config = cls("noncoop", DetectorParams(m=m, lam=lam, alpha=alpha),
+                     AvgSnr.coerce(avg))
+        return config if alpha is None else config.with_alpha(alpha)
 
     @classmethod
     def coop(cls, n_users: int, n_vote: int, m: int, lam: float, avg,
              alpha: float | None = None) -> "SchemeConfig":
         per_user = DetectorParams(m=m, lam=lam, alpha=alpha)
-        return cls("coop", FusionParams(n_users=n_users, n_vote=n_vote,
-                                        per_user=per_user), AvgSnr.coerce(avg))
+        config = cls("coop", FusionParams(n_users=n_users, n_vote=n_vote,
+                                          per_user=per_user), AvgSnr.coerce(avg))
+        return config if alpha is None else config.with_alpha(alpha)
 
     @classmethod
-    def switching(cls, q: int, m: int, lam: float, avg,
-                  alloc: tuple[int, ...] | None = None) -> "SchemeConfig":
-        alloc = tuple(alloc) if alloc is not None else allocate_samples(m, q)
-        params = ReconfigParams(q=q, m=m, alloc=alloc, lam=lam, csi_mode="switching")
-        return cls("reconfig-switching", params, AvgSnr.coerce(avg))
+    def switching(cls, q: int, m: int, lam: float, avg) -> "SchemeConfig":
+        return cls("reconfig-switching", ReconfigParams.make(q, m, lam),
+                   AvgSnr.coerce(avg))
 
     @classmethod
     def selection(cls, q: int, m: int, lam: float, avg) -> "SchemeConfig":
-        params = ReconfigParams(q=q, m=m, alloc=allocate_samples(m, q),
-                                lam=lam, csi_mode="selection")
-        return cls("reconfig-selection", params, AvgSnr.coerce(avg))
+        return cls("reconfig-selection", ReconfigParams.make(q, m, lam),
+                   AvgSnr.coerce(avg))
 
 
 @dataclass(frozen=True)
@@ -156,44 +282,8 @@ def _batch_decisions(config: SchemeConfig, hypothesis: str,
     """Vector of n present/absent decisions (True = present) for one scheme."""
     if hypothesis not in ("H0", "H1"):
         raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    signal = hypothesis == "H1"
-    avg = config.avg_snr
-    p = config.payload
-
-    # Products and sums are formed in place so that concurrent blocks stay
-    # small; x *= c and x += 1 give the same bits as c * x and 1 + x.
-    if config.variant == "noncoop":
-        y = gen.chisquare(2 * p.m, n)
-        if signal:
-            y *= _one_plus_snr(avg, gen, n)
-        return y > p.lam
-
-    if config.variant == "coop":
-        d = p.per_user
-        y = gen.chisquare(2 * d.m, (n, p.n_users))
-        if signal:
-            y *= _one_plus_snr(avg, gen, (n, p.n_users))
-        return (y > d.lam).sum(axis=1) >= p.n_vote
-
-    if config.variant == "reconfig-switching":
-        if signal:
-            gammas = _one_plus_snr(avg, gen, (n, len(p.alloc)))
-            y = np.zeros(n)
-            for j, dwell in enumerate(p.alloc):
-                energy = gen.chisquare(2 * dwell, n)
-                energy *= gammas[:, j]
-                y += energy
-        else:
-            y = gen.chisquare(2 * sum(p.alloc), n)
-        return y > p.lam
-
-    # reconfig-selection: sense the whole window on the best of Q states.
-    y = gen.chisquare(2 * p.m, n)
-    if signal:
-        gain = draw_snr(avg, gen, (n, p.q)).max(axis=1)
-        gain += 1.0
-        y *= gain
-    return y > p.lam
+    return config.scheme.decisions(config.payload, hypothesis == "H1",
+                                   config.avg_snr, gen, n)
 
 
 def _one_plus_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
@@ -201,12 +291,6 @@ def _one_plus_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
     gain = draw_snr(avg, gen, size)
     gain += 1.0
     return gain
-
-
-def run_trial(config: SchemeConfig, hypothesis: str, rng) -> bool:
-    """Single sensing-window trial; True means 'primary present' declared."""
-    gen = rng.generator() if isinstance(rng, RandomStream) else rng
-    return bool(_batch_decisions(config, hypothesis, gen, 1)[0])
 
 
 def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int,
@@ -307,10 +391,10 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
           *, min_events: int | None = None, max_trials: int = 10 ** 8) -> SweepCurve:
     """Missed-detection curve over an SNR grid, plus one shared H0 check.
 
-    The threshold is recalibrated from the template's NP level alpha before
-    sweeping and then held constant across the grid (alpha fixes lambda
-    independent of the SNR).  Point i uses substream i+1; the H0 false-alarm
-    estimate uses substream 0 and is attached to every point.
+    The template's threshold is held constant across the grid: alpha fixes
+    lambda independent of the SNR, so it is set once, when the config is
+    built.  Point i uses substream i+1; the H0 false-alarm estimate uses
+    substream 0 and is attached to every point.
 
     Pass ``min_events`` (typically 100) to escalate deep-tail points until
     they carry enough missed-detection events for slope fitting; leave it
@@ -319,37 +403,16 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
     snr_grid_db = [float(s) for s in snr_grid_db]
     if not snr_grid_db:
         raise ValueError("SNR grid must be nonempty")
-    config = recalibrate(config_template)
-
-    pf_est = estimate_point(config, "H0", trials, seed, stream_id=0)
+    pf_est = estimate_point(config_template, "H0", trials, seed, stream_id=0)
     points = []
     for i, snr_db in enumerate(snr_grid_db):
-        at_snr = config.with_snr(AvgSnr.from_db(snr_db))
+        at_snr = config_template.with_snr(AvgSnr.from_db(snr_db))
         det = estimate_point(at_snr, "H1", trials, seed, stream_id=i + 1,
                              min_events=min_events, max_trials=max_trials)
         pmd = McEstimate(value=1.0 - det.value, trials=det.trials,
                          ci_halfwidth=det.ci_halfwidth, seed=seed)
         points.append(SweepPoint(snr_db=snr_db, pmd=pmd, pf=pf_est))
     return SweepCurve(points=tuple(points))
-
-
-def recalibrate(config: SchemeConfig) -> SchemeConfig:
-    """Return a copy with the threshold set from the payload's NP level."""
-    p = config.payload
-    if config.variant == "coop":
-        alpha = p.per_user.alpha
-        if alpha is None:
-            return config
-        lam = calibrate_local_lambda_global(p.n_users, p.n_vote, p.per_user.m, alpha)
-        per_user = replace(p.per_user, lam=lam)
-        return replace(config, payload=replace(p, per_user=per_user))
-    alpha = getattr(p, "alpha", None)
-    if config.variant == "noncoop":
-        if alpha is None:
-            return config
-        return replace(config, payload=replace(p, lam=calibrate_lambda(p.m, alpha)))
-    # Reconfigurable schemes share the noncoop H0 statistic: chi-square(2M).
-    return config
 
 
 def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float],

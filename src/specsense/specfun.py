@@ -1,11 +1,11 @@
 """Scalar special-function kernel used by the closed-form sensing formulas.
 
-Everything here is pure and stateless.  The incomplete-gamma pair is
-implemented with the classic regime split (power series below ``x = s + 1``,
-Lentz continued fraction above) so that both the upper and lower regularized
-functions are computed directly in the regime where they are small; the
-complement is then formed by subtraction, never by cancellation of two
-near-equal quantities.
+Everything here is pure and stateless.  The regularized incomplete-gamma
+pair and its inverse check their arguments and hand them to
+``scipy.special`` (``gammaincc``, ``gammainc``, ``gammainccinv``), which
+computes each of P and Q directly where it is small; against mpmath their
+relative error stays below 1e-11 for s from 0.5 to 1e4
+(``tests/test_specfun.py``).
 
 Modified Bessel K of integer order is evaluated through the exponentially
 scaled seeds ``k0e``/``k1e`` and the (stable) upward three-term recurrence,
@@ -23,10 +23,7 @@ from scipy import special as _sp
 # Euler-Mascheroni constant, used by the large-Q harmonic approximation.
 EULER_GAMMA = 0.5772156649015329
 
-_SERIES_MAX_TERMS = 500_000
-_CF_MAX_TERMS = 500_000
 _HYP_MAX_TERMS = 10_000
-_INV_MAX_ITER = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -51,55 +48,13 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _lower_series(s: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) by power series (x < s + 1)."""
-    term = 1.0 / s
-    total = term
-    k = 0.0
-    for _ in range(_SERIES_MAX_TERMS):
-        k += 1.0
-        term *= x / (s + k)
-        total += term
-        if abs(term) < abs(total) * 1e-17:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ConvergenceError(f"incomplete gamma series stalled at s={s}, x={x}")
-
-
-def _upper_cf(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(s, x) by continued fraction (x >= s + 1)."""
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_TERMS):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise ConvergenceError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
-
-
 def reg_upper_gamma(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
     s = _finite(s, "s")
     x = _finite(x, "x")
     _require(s > 0.0, f"reg_upper_gamma requires s > 0, got {s}")
     _require(x >= 0.0, f"reg_upper_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return 1.0 - _lower_series(s, x)
-    return _upper_cf(s, x)
+    return float(_sp.gammaincc(s, x))
 
 
 def reg_lower_gamma(s: float, x: float) -> float:
@@ -108,66 +63,16 @@ def reg_lower_gamma(s: float, x: float) -> float:
     x = _finite(x, "x")
     _require(s > 0.0, f"reg_lower_gamma requires s > 0, got {s}")
     _require(x >= 0.0, f"reg_lower_gamma requires x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return _lower_series(s, x)
-    return 1.0 - _upper_cf(s, x)
+    return float(_sp.gammainc(s, x))
 
 
 def inv_reg_upper_gamma(s: float, p: float) -> float:
-    """Solve Q(s, x) = p for x, with p in (0, 1).
-
-    Q(s, .) is strictly decreasing, so the root is unique.  A geometric
-    bracket search is followed by bisection and a short secant polish;
-    the returned x satisfies |Q(s, x) - p| <= 1e-10.
-    """
+    """Solve Q(s, x) = p for x, with p in (0, 1); Q(s, .) is strictly decreasing."""
     s = _finite(s, "s")
     p = _finite(p, "p")
     _require(s > 0.0, f"inv_reg_upper_gamma requires s > 0, got {s}")
     _require(0.0 < p < 1.0, f"inv_reg_upper_gamma requires 0 < p < 1, got {p}")
-
-    # Bracket: Q(s, lo) > p > Q(s, hi).
-    lo = 0.0
-    hi = max(s, 1.0)
-    for _ in range(_INV_MAX_ITER):
-        if reg_upper_gamma(s, hi) < p:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket inverse gamma at s={s}, p={p}")
-
-    # Tolerance must be relative in p: for deep-tail targets an absolute
-    # residual as large as p itself would still satisfy a fixed cutoff.
-    tol = 1e-13 * min(p, 1.0 - p)
-    x = 0.5 * (lo + hi)
-    for _ in range(_INV_MAX_ITER):
-        q = reg_upper_gamma(s, x)
-        if abs(q - p) <= tol or (hi - lo) <= 1e-15 * hi:
-            break
-        if q > p:
-            lo = x
-        else:
-            hi = x
-        x = 0.5 * (lo + hi)
-
-    # Secant polish from the last two bracket midpoints.
-    x0, x1 = lo, hi
-    q0, q1 = reg_upper_gamma(s, x0) - p, reg_upper_gamma(s, x1) - p
-    for _ in range(4):
-        if q1 == q0:
-            break
-        x2 = x1 - q1 * (x1 - x0) / (q1 - q0)
-        if not (lo <= x2 <= hi):
-            break
-        x0, q0 = x1, q1
-        x1, q1 = x2, reg_upper_gamma(s, x2) - p
-        if abs(q1) <= tol:
-            break
-    if abs(reg_upper_gamma(s, x1) - p) < abs(reg_upper_gamma(s, x) - p):
-        x = x1
-    return x
+    return float(_sp.gammainccinv(s, p))
 
 
 def ln_bessel_k_int(order: int, x: float) -> float:

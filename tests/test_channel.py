@@ -17,8 +17,6 @@ from specsense.channel import (
     draw_snr,
     max_state_pdf_dominant,
     max_state_pdf_exact,
-    sample_rayleigh_snr,
-    sample_states,
 )
 from specsense.specfun import harmonic
 
@@ -62,9 +60,9 @@ class TestRandomStream:
 
     def test_single_draw_matches_stream_origin(self):
         rng = RandomStream(seed=77)
-        first = sample_rayleigh_snr(AvgSnr(2.0), rng)
-        again = sample_rayleigh_snr(AvgSnr(2.0), rng)
-        assert first == again  # stateless handle, fresh generator each call
+        first = draw_snr(AvgSnr(2.0), rng.generator(), 1)
+        again = draw_snr(AvgSnr(2.0), rng.generator(), 1)
+        assert first[0] == again[0]  # stateless handle, fresh generator each call
 
 
 class TestRayleighSampling:
@@ -104,10 +102,10 @@ class TestRayleighSampling:
 class TestSampleStates:
     def test_single_state_equals_scalar_draw(self):
         avg = AvgSnr(3.0)
-        states = sample_states(avg, 1, RandomStream(seed=11))
-        single = sample_rayleigh_snr(avg, RandomStream(seed=11))
-        assert states.shape == (1,)
-        assert states[0] == single
+        states = draw_snr(avg, RandomStream(seed=11).generator(), (4, 1))
+        single = draw_snr(avg, RandomStream(seed=11).generator(), 4)
+        assert states.shape == (4, 1)
+        assert np.array_equal(states[:, 0], single)
 
     def test_independence_across_states(self):
         gen = RandomStream(seed=12).generator()
@@ -120,10 +118,6 @@ class TestSampleStates:
         draws = draw_snr(AvgSnr(2.0), gen, (10 ** 5, 10))
         se = 2.0 / math.sqrt(10 ** 5)
         assert np.all(np.abs(draws.mean(axis=0) - 2.0) <= 3 * se)
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            sample_states(AvgSnr(1.0), 0, RandomStream(seed=1))
 
 
 class TestMaxStatePdf:

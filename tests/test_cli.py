@@ -136,7 +136,8 @@ class TestSweepCommand:
         assert main(["sweep", "--scenario", path, "--out", str(out1)]) == 0
         assert main(["sweep", "--scenario", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        rows = list(csv.reader(out1.open()))
+        with out1.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_HEADER)
         assert len(rows) == 1 + 3  # header + 3 grid points
 
@@ -144,7 +145,8 @@ class TestSweepCommand:
         path = write_scenario(tmp_path / "s.txt", mode="analytic")
         out = tmp_path / "a.csv"
         assert main(["sweep", "--scenario", path, "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         sc = parse_scenario(path)
         config = build_config(sc)
         for row in rows:
@@ -157,7 +159,8 @@ class TestSweepCommand:
         path = write_scenario(tmp_path / "s.txt", mode="mc")
         out = tmp_path / "a.csv"
         assert main(["sweep", "--scenario", path, "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert all(r["pmd_analytic"] == "" for r in rows)
         assert all(r["pmd_mc"] != "" for r in rows)
 
@@ -167,7 +170,8 @@ class TestFigureCommand:
         out = tmp_path / "fig1.csv"
         assert main(["figure", "--which", "fig1", "--trials", "2000",
                      "--out", str(out), "--seed", "3"]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         schemes = {r["scheme"] for r in rows}
         assert schemes == {"noncoop-nm4", "coop-nm4", "noncoop-nm25",
                            "coop-nm25", "noncoop-nm100", "coop-nm100"}
@@ -176,7 +180,8 @@ class TestFigureCommand:
         out = tmp_path / "fig2.csv"
         assert main(["figure", "--which", "fig2", "--trials", "2000",
                      "--out", str(out), "--seed", "3"]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert {r["scheme"] for r in rows} == {"noncoop", "coop", "switching",
                                                "selection"}
 
@@ -184,7 +189,8 @@ class TestFigureCommand:
         out = tmp_path / "fig3.csv"
         assert main(["figure", "--which", "fig3", "--trials", "2000",
                      "--out", str(out), "--seed", "3"]) == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         schemes = {r["scheme"] for r in rows}
         assert {"selection-m35", "selection-m33", "noncoop", "coop"} == schemes
 

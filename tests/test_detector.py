@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from specsense.detector import (
     DetectorParams,
     GainSummary,
-    OperatingPoint,
     asymptotic_pmd_single,
     avg_pd_closed,
     avg_pd_numeric,
@@ -53,12 +52,6 @@ class TestParams:
             DetectorParams(m=5, lam=-2.0)
         with pytest.raises(ValueError):
             DetectorParams(m=5, lam=1.0, alpha=1.5)
-
-    def test_operating_point_complement_enforced(self):
-        with pytest.raises(ValueError):
-            OperatingPoint(pf=0.1, pd=0.8, pmd=0.1, provenance="analytic")
-        pt = OperatingPoint.from_pmd(pf=0.05, pmd=1.3, provenance="asymptotic")
-        assert pt.pmd == 1.0 and pt.pd == 0.0
 
     def test_gain_summary_db(self):
         g = GainSummary(diversity=1.0, coding_gain=0.9)

@@ -8,6 +8,7 @@ scipy's binomial survival function.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from specsense.detector import DetectorParams, avg_pd_numeric, calibrate_lambda,
 from specsense.fusion import (
     FusionParams,
     asymptotic_pmd_coop,
-    binom_lower,
     binom_tail,
     calibrate_local_lambda_global,
     gains_coop,
@@ -73,7 +73,11 @@ class TestBinomialKernels:
     def test_tail_plus_lower_is_one(self, n, data):
         n_vote = data.draw(st.integers(1, n))
         p = data.draw(st.floats(0.0, 1.0))
-        assert binom_tail(n, n_vote, p) + binom_lower(n, n_vote - 1, p) == (
+        # Exact P(X <= n_vote - 1) for the double p, in rational arithmetic.
+        q = Fraction(p)
+        lower = sum(math.comb(n, k) * q ** k * (1 - q) ** (n - k)
+                    for k in range(n_vote))
+        assert binom_tail(n, n_vote, p) + float(lower) == (
             pytest.approx(1.0, abs=1e-12))
 
     def test_monotone_in_p_and_vote_threshold(self):

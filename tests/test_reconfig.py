@@ -188,15 +188,13 @@ class TestSwitchingAsymptoticConditional:
 
 class TestAvgSwitching:
     def test_asymptotic_slope_is_exactly_q(self):
-        params = ReconfigParams.make(10, 100, calibrate_lambda(100, 0.05),
-                                     "switching")
+        params = ReconfigParams.make(10, 100, calibrate_lambda(100, 0.05))
         a = avg_pmd_switching(params, 1e3, method="asymptotic")
         b = avg_pmd_switching(params, 1e4, method="asymptotic")
         assert a / b == pytest.approx(10.0 ** 10, rel=1e-9)
 
     def test_quadrature_vs_asymptotic(self):
-        params = ReconfigParams(q=3, m=12, alloc=(4, 4, 4), lam=30.0,
-                                csi_mode="switching")
+        params = ReconfigParams(q=3, m=12, alloc=(4, 4, 4), lam=30.0)
         ratio = (avg_pmd_switching(params, 1e4, method="quadrature")
                  / avg_pmd_switching(params, 1e4, method="asymptotic"))
         assert ratio == pytest.approx(1.0, abs=0.05)
@@ -211,15 +209,14 @@ class TestAvgSwitching:
         assert val == pytest.approx(gb ** (l - 1) / (l - 1), rel=0.01)
 
     def test_asymptotic_needs_two_sample_dwells(self):
-        params = ReconfigParams(q=3, m=5, alloc=(2, 2, 1), lam=10.0,
-                                csi_mode="switching")
+        params = ReconfigParams(q=3, m=5, alloc=(2, 2, 1), lam=10.0)
         with pytest.raises(ValueError):
             avg_pmd_switching(params, 1e3, method="asymptotic")
         # quadrature handles singleton dwells fine
         assert avg_pmd_switching(params, 1e3, method="quadrature") > 0.0
 
     def test_unknown_method(self):
-        params = ReconfigParams.make(2, 8, 20.0, "switching")
+        params = ReconfigParams.make(2, 8, 20.0)
         with pytest.raises(ValueError):
             avg_pmd_switching(params, 10.0, method="exact")
 
@@ -288,7 +285,7 @@ class TestAvgSelection:
 
     def test_selection_dominates_switching_average(self):
         lam = calibrate_lambda(12, 0.05)
-        params = ReconfigParams.make(3, 12, lam, "switching")
+        params = ReconfigParams.make(3, 12, lam)
         for gb in (1.0, 10.0, 100.0, 1e3):
             sel = avg_pmd_selection(12, lam, gb, 3)
             sw = avg_pmd_switching(params, gb, method="quadrature")

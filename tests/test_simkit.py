@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from specsense import simkit
-from specsense.channel import AvgSnr, RandomStream
+from specsense.channel import AvgSnr
 from specsense.detector import calibrate_lambda, pf_single
 from specsense.fusion import global_pmd
 from specsense.simkit import (
@@ -23,7 +23,6 @@ from specsense.simkit import (
     SweepPoint,
     estimate_point,
     fit_diversity_slope,
-    run_trial,
     sweep,
 )
 
@@ -38,12 +37,6 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig("coop", DetectorParams(m=5, lam=2.0), AvgSnr(1.0))
 
-    def test_csi_mode_consistency(self):
-        from specsense.reconfig import ReconfigParams
-        params = ReconfigParams.make(4, 20, 30.0, "selection")
-        with pytest.raises(ValueError):
-            SchemeConfig("reconfig-switching", params, AvgSnr(1.0))
-
     def test_total_samples(self):
         assert SchemeConfig.coop(10, 1, 10, 30.0, 1.0).total_samples == 100
         assert SchemeConfig.switching(10, 100, 200.0, 1.0).total_samples == 100
@@ -54,10 +47,11 @@ class TestSchemeConfig:
 
 
 class TestRunTrial:
+    """Single-window decisions, counted through estimate_point."""
+
     def test_h0_huge_threshold_never_fires(self):
         cfg = SchemeConfig.noncoop(10, 1e9, 1.0)
-        stream = RandomStream(seed=41)
-        assert not any(run_trial(cfg, "H0", stream.substream(i)) for i in range(200))
+        assert estimate_point(cfg, "H0", 1000, seed=41).value == 0.0
 
     def test_h1_huge_snr_always_fires(self):
         lam = calibrate_lambda(10, 0.05)
@@ -74,7 +68,7 @@ class TestRunTrial:
     def test_rejects_unknown_hypothesis(self):
         cfg = SchemeConfig.noncoop(10, 20.0, 1.0)
         with pytest.raises(ValueError):
-            run_trial(cfg, "H2", RandomStream(seed=1))
+            estimate_point(cfg, "H2", 1000, seed=1)
 
 
 class TestEstimatePoint:
@@ -180,6 +174,18 @@ class TestSweep:
         cfg = SchemeConfig.noncoop(10, 999.0, 1.0, alpha=0.05)
         curve = sweep(cfg, [0.0], 50_000, seed=56)
         assert abs(curve.points[0].pf.value - 0.05) <= ci99(0.05, 50_000)
+
+    def test_takes_the_threshold_as_given(self, monkeypatch):
+        from specsense.cli import build_config, figure_setups
+        configs = [build_config(sc) for _, sc in figure_setups("fig2")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep recalibrated a built config")
+
+        monkeypatch.setattr(simkit, "calibrate_lambda", refuse)
+        monkeypatch.setattr(simkit, "calibrate_local_lambda_global", refuse)
+        for config in configs:
+            sweep(config, [0.0], 1000, seed=58)
 
     def test_deterministic(self):
         cfg = SchemeConfig.noncoop(10, 1.0, 1.0, alpha=0.05)

@@ -103,11 +103,27 @@ class TestRegGamma:
         assert reg_upper_gamma(s, x) + reg_lower_gamma(s, x) == pytest.approx(
             1.0, abs=1e-12)
 
-    @settings(max_examples=100, derandomize=True)
-    @given(st.floats(0.05, 40.0), st.floats(0.0, 40.0))
-    def test_matches_scipy(self, s, x):
-        assert reg_upper_gamma(s, x) == pytest.approx(
-            float(special.gammaincc(s, x)), rel=1e-10, abs=1e-300)
+    def test_matches_mpmath(self):
+        def upper_lower(s, x):
+            # Each side is evaluated where it is the smaller one.
+            if x >= s:
+                q = mpmath.gammainc(s, x, mpmath.inf, regularized=True)
+                return q, 1 - q
+            p = mpmath.gammainc(s, 0, x, regularized=True)
+            return 1 - p, p
+
+        # 21 x 21 log-spaced grid: s from 0.5 to 1e4, x / s from 0.1 to 10.
+        with mpmath.workdps(40):
+            for s in np.geomspace(0.5, 1e4, 21).tolist():
+                for x in (s * np.geomspace(0.1, 10.0, 21)).tolist():
+                    q, p = upper_lower(s, x)
+                    if q <= 1e-300 or p <= 1e-300:
+                        continue
+                    assert reg_upper_gamma(s, x) == pytest.approx(float(q), rel=1e-11)
+                    assert reg_lower_gamma(s, x) == pytest.approx(float(p), rel=1e-11)
+                    if float(q) < 1.0:
+                        residual, _ = upper_lower(s, inv_reg_upper_gamma(s, float(q)))
+                        assert float(residual) == pytest.approx(float(q), rel=1e-11)
 
     def test_strictly_decreasing_in_x(self):
         xs = np.linspace(0.0, 30.0, 40)
