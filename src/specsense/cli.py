@@ -128,8 +128,8 @@ def analytic_columns(config: SchemeConfig, snr_db: float) -> tuple[float, float]
     small, so for fig2's switching curve (Q = 10, M = 100, alpha = 0.05) the
     column reads 1 at all 41 points of the default -20..20 dB grid.  The
     exact switching values are the Talbot inversions in
-    ``tests/reference/acceptance_refs.json``.  All other schemes are exact
-    quadrature values.
+    ``tests/reference/acceptance_refs.json``.  The other schemes' pmd is
+    ``detector._faded_miss``'s exact fading average, or ConvergenceError.
     """
     return config.scheme.analytic(config.payload, AvgSnr.from_db(snr_db))
 

@@ -18,6 +18,7 @@ from .channel import AvgSnr
 from .detector import (
     DetectorParams,
     GainSummary,
+    _faded_miss,
     avg_pd_numeric,
     calibrate_lambda,
     pf_single,
@@ -69,23 +70,14 @@ def global_pd(params: FusionParams, avg) -> float:
 
 
 def global_pmd(params: FusionParams, avg) -> float:
-    """Global missed detection: lower binomial sum over local miss votes.
+    """Global missed detection: at least N - n + 1 of the N users miss.
 
-    Written as sum_{l=0}^{n-1} C(N,l) pmd^{N-l} (1-pmd)^l with pmd the local
-    averaged miss probability; identical to 1 - global_pd within 1e-12.
+    A binomial tail over the local miss taken directly from the fading rule,
+    which keeps its digits deep in the tail; 1 - global_pd within 1e-12.
     """
-    pd_local = avg_pd_numeric(params.per_user.m, params.per_user.lam, avg)
-    pmd_local = 1.0 - pd_local
-    n, n_vote = params.n_users, params.n_vote
-    if pmd_local == 0.0:
-        return 0.0
-    if pmd_local == 1.0:
-        return 1.0
-    log_md = math.log(pmd_local)
-    log_d = math.log1p(-pmd_local)
-    terms = [math.exp(log_binom(n, k) + (n - k) * log_md + k * log_d)
-             for k in range(0, n_vote)]
-    return min(1.0, math.fsum(terms))
+    pmd_local = _faded_miss(params.per_user.m, params.per_user.lam,
+                            AvgSnr.coerce(avg).gamma_bar)
+    return binom_tail(params.n_users, params.n_users - params.n_vote + 1, pmd_local)
 
 
 def calibrate_local_lambda_global(n_users: int, n_vote: int, m: int,

@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate as _integrate
+from scipy import special as _sp
 
 from .channel import AvgSnr
-from .detector import DetectorParams, GainSummary, _knee_knots
+from .detector import DetectorParams, GainSummary, _faded_miss
 from .specfun import (
     EULER_GAMMA,
     ConvergenceError,
@@ -33,7 +33,9 @@ from .specfun import (
     reg_lower_gamma,
 )
 
-_TAIL_CUT = 50.0
+# Beyond z = 600, E_l(z) nears the smallest double and a continued fraction
+# gives e^z E_l(z); math.exp overflows past 709.78.
+_EXPN_MAX_Z, _CF_MAX_TERMS, _LOG_MAX = 600.0, 100, 709.0
 
 
 def allocate_samples(m: int, q: int) -> tuple[int, ...]:
@@ -152,52 +154,56 @@ def pmd_switching_asymptotic_conditional(spec: WeightedChiSqSpec, lam: float) ->
     return math.exp(log_val)
 
 
-def _dwell_integral(l: int, gamma_bar: float) -> float:
-    """E[(1 + gamma)^{-l}] for gamma ~ Exp(gamma_bar), by quadrature.
+def _dwell_average(l: int, gamma_bar: float) -> float:
+    """E[(1 + gamma)^{-l}] = z e^z E_l(z) for gamma ~ Exp(gamma_bar), z = 1/gamma_bar.
 
-    The integrand has two scales: the power-law decay of (1 + gamma)^{-l}
-    around gamma ~ 1 and the exponential density cut at gamma ~ gamma_bar.
-    Geometric knots cover the first so the adaptive rule cannot skip it.
+    scipy's expn where E_l(z) is far from underflow; beyond, the continued
+    fraction e^z E_l(z) = 1/(z + l - l/(z + l + 2 - 2 (l + 1)/(z + l + 4 - ...)))
+    by the modified Lentz method, which converges in a few terms there.
     """
-    cut = max(_TAIL_CUT * gamma_bar, _TAIL_CUT)
-    knots = [g for g in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4, gamma_bar) if 0.0 < g < cut]
-    value, abserr = _integrate.quad(
-        lambda g: (1.0 + g) ** (-l) * math.exp(-g / gamma_bar) / gamma_bar,
-        0.0, cut, points=sorted(set(knots)), epsabs=1e-13, epsrel=1e-12, limit=500)
-    if abserr > max(1e-8, 1e-6 * value):
-        raise ConvergenceError(
-            f"dwell-average quadrature error {abserr:.2e} at l={l}, "
-            f"gamma_bar={gamma_bar}")
-    return value
+    z = 1.0 / gamma_bar
+    if z < _EXPN_MAX_Z:
+        return z * math.exp(z) * float(_sp.expn(l, z))
+    b, c = z + l, math.inf
+    value = d = 1.0 / b
+    for i in range(1, _CF_MAX_TERMS):
+        a = -i * (l - 1.0 + i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        value *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            return z * value
+    raise ConvergenceError(f"dwell-average continued fraction stalled at l={l}, z={z}")
 
 
 def avg_pmd_switching(params: ReconfigParams, avg, method: str = "quadrature") -> float:
     """Rayleigh-averaged switching miss probability from the asymptote.
 
-    quadrature: lam^M/Gamma(M+1) times the product of one-dimensional
-    averages E[(1+gamma_j)^{-l_j}], each integrated numerically.
-    asymptotic: the fully reduced large-SNR form
-    lam^M/Gamma(M+1) / (prod (l_j - 1) * gamma_bar^Q), requiring every
-    l_j >= 2.  Both are raw (unclamped) asymptote-based values.
+    quadrature (the historical name): lam^M/Gamma(M+1) times the closed-form
+    dwell averages E[(1+gamma_j)^{-l_j}].  asymptotic: the fully reduced
+    large-SNR form lam^M/Gamma(M+1) / (prod (l_j - 1) * gamma_bar^Q), which
+    needs every l_j >= 2.  Both are raw (unclamped) asymptote values formed
+    in the log domain; past the double range (M >= 1000 at moderate SNR)
+    the call raises ConvergenceError.
     """
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
     m = sum(params.alloc)
-    log_front = m * math.log(params.lam) - ln_gamma(m + 1.0)
+    log_val = m * math.log(params.lam) - ln_gamma(m + 1.0)
     if method == "quadrature":
-        log_prod = 0.0
-        for l in sorted(set(params.alloc)):
-            count = params.alloc.count(l)
-            log_prod += count * math.log(_dwell_integral(l, gamma_bar))
-        return math.exp(log_front + log_prod)
-    if method == "asymptotic":
+        log_val += sum(params.alloc.count(l) * math.log(_dwell_average(l, gamma_bar))
+                       for l in sorted(set(params.alloc)))
+    elif method == "asymptotic":
         if any(l < 2 for l in params.alloc):
             raise ValueError(
                 f"asymptotic average needs every dwell >= 2 samples, got {params.alloc!r}")
-        q_eff = len(params.alloc)
-        log_val = (log_front - sum(math.log(l - 1.0) for l in params.alloc)
-                   - q_eff * math.log(gamma_bar))
-        return math.exp(log_val)
-    raise ValueError(f"method must be quadrature or asymptotic, got {method!r}")
+        log_val = (log_val - sum(math.log(l - 1.0) for l in params.alloc)
+                   - len(params.alloc) * math.log(gamma_bar))
+    else:
+        raise ValueError(f"method must be quadrature or asymptotic, got {method!r}")
+    if log_val > _LOG_MAX:
+        raise ConvergenceError(f"switching asymptote e^{log_val:.1f} exceeds the double range")
+    return math.exp(log_val)
 
 
 def diversity_reconfig(m: int, q: int, csi_mode: str = "switching") -> GainSummary:
@@ -230,44 +236,17 @@ def avg_pmd_selection(m: int, lam: float, avg, q: int,
                       pdf_mode: str = "exact") -> float:
     """Average selection miss: conditional miss integrated over the best state.
 
-    pdf_mode "exact" uses the true max-of-Q density (what Monte Carlo
-    matches); "dominant" substitutes the large-gamma_bar dominant form used
-    to simplify the high-SNR analysis.  Absolute tolerance 1e-10.
+    pdf_mode "exact" uses the true max-of-Q CDF (what Monte Carlo matches);
+    "dominant" the large-gamma_bar density (Q/gamma_bar^Q) x^{Q-1}
+    e^{-x/gamma_bar}.  Both go through ``detector._faded_miss``.
     """
     params = DetectorParams(m=m, lam=lam)
     if int(q) != q or q < 1:
         raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
     if pdf_mode not in ("exact", "dominant"):
         raise ValueError(f"pdf_mode must be exact or dominant, got {pdf_mode!r}")
-    gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    m_f = float(params.m)
-    q = int(q)
-
-    # Substituting gamma = gamma_bar * t leaves a density in t alone.
-    if pdf_mode == "exact":
-        def weight(t: float) -> float:
-            return q * math.exp(-t) * (-math.expm1(-t)) ** (q - 1)
-        cut = _TAIL_CUT
-    else:
-        def weight(t: float) -> float:
-            if t == 0.0:
-                return 0.0 if q > 1 else 1.0
-            return math.exp(math.log(q) + (q - 1) * math.log(t) - t)
-        cut = _TAIL_CUT + q + 12.0 * math.sqrt(q)
-
-    def integrand(t: float) -> float:
-        return (reg_lower_gamma(m_f, params.lam / (2.0 * (1.0 + gamma_bar * t)))
-                * weight(t))
-
-    knee = (params.lam / (2.0 * m_f) - 1.0) / gamma_bar
-    points = _knee_knots(knee, cut)
-    value, abserr = _integrate.quad(integrand, 0.0, cut, points=points,
-                                    epsabs=1e-10, epsrel=1e-12, limit=400)
-    if abserr > 1e-7:
-        raise ConvergenceError(
-            f"selection-average quadrature error {abserr:.2e} at M={m}, "
-            f"lam={lam}, gamma_bar={gamma_bar}, Q={q}")
-    return max(0.0, value)
+    return _faded_miss(params.m, params.lam, AvgSnr.coerce(avg).gamma_bar, int(q),
+                       dominant=pdf_mode == "dominant")
 
 
 def selection_gain(q: int) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import AvgSnr, RandomStream, draw_snr
-from .detector import DetectorParams, avg_pd_numeric, calibrate_lambda, pf_single
+from .detector import DetectorParams, _faded_miss, calibrate_lambda, pf_single
 from .fusion import FusionParams, calibrate_local_lambda_global, global_pf, global_pmd
 from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
 
@@ -65,7 +65,7 @@ class _Noncoop:
         return 1.0
 
     def analytic(self, p, avg) -> tuple[float, float]:
-        return pf_single(p.m, p.lam), 1.0 - avg_pd_numeric(p.m, p.lam, avg)
+        return pf_single(p.m, p.lam), _faded_miss(p.m, p.lam, AvgSnr.coerce(avg).gamma_bar)
 
     # Products and sums are formed in place so that concurrent blocks stay
     # small; x *= c and x += 1 give the same bits as c * x and 1 + x.

@@ -212,19 +212,33 @@ class TestSlopeCommand:
         assert fitted == pytest.approx(1.0, abs=0.12)
 
 
+def _child_env() -> dict:
+    """Environment in which a child imports the same specsense as this process."""
+    package_root = str(Path(specsense.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestConsoleEntry:
+    def test_import_leaves_out_scipy_integrate_and_optimize(self):
+        # scipy.integrate alone once took about half of the import time.
+        code = ("import sys, specsense, specsense.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'optimize'])))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_invocation(self, tmp_path):
         path = write_scenario(tmp_path / "s.txt", mode="analytic",
                               snr_stop_db=-4)
         out = tmp_path / "cli.csv"
-        # The child imports the same specsense as this process, installed or not.
-        package_root = str(Path(specsense.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "specsense.cli", "sweep", "--scenario",
              path, "--out", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert out.exists()

@@ -23,6 +23,7 @@ from specsense.channel import AvgSnr
 from specsense.detector import avg_pd_numeric, calibrate_lambda, pd_single, pf_single
 from specsense.reconfig import (
     ReconfigParams,
+    _dwell_average,
     WeightedChiSqSpec,
     allocate_samples,
     avg_pmd_selection,
@@ -36,7 +37,7 @@ from specsense.reconfig import (
     selection_gain_large_q,
     selection_pmd_hypergeom_diagnostic,
 )
-from specsense.specfun import harmonic, ln_gamma, reg_lower_gamma
+from specsense.specfun import ConvergenceError, harmonic, ln_gamma, reg_lower_gamma
 
 
 def compositions(total, parts):
@@ -219,6 +220,35 @@ class TestAvgSwitching:
         params = ReconfigParams.make(2, 8, 20.0)
         with pytest.raises(ValueError):
             avg_pmd_switching(params, 10.0, method="exact")
+
+    @pytest.mark.parametrize("method", ["quadrature", "asymptotic"])
+    def test_beyond_double_range_raises_convergence_error(self, method):
+        # lam^M / M! alone is e^1688 at M = 1000, alpha = 0.05.
+        params = ReconfigParams.make(10, 1000, calibrate_lambda(1000, 0.05))
+        with pytest.raises(ConvergenceError):
+            avg_pmd_switching(params, AvgSnr.from_db(0.0), method=method)
+
+
+class TestDwellAverage:
+    """E[(1 + gamma)^-l] = z e^z E_l(z) against mpmath.
+
+    The mpmath value is the defining integral z int_0^inf e^{-z s} (1+s)^{-l}
+    ds by quadrature: mpmath's own ``expint`` loses every digit at l = 100,
+    z = 316, where e^z expint(l, z) evaluates to 1.7e39 for a value of 2.4e-3.
+    """
+
+    @pytest.mark.parametrize("l", [1, 2, 10, 100, 1000])
+    def test_matches_mpmath_from_minus_40_to_70_db(self, l):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for snr_db in range(-40, 71, 5):
+                z = mp.mpf(1) / mp.power(10, mp.mpf(snr_db) / 10)
+                scale = 1 / (z + l)
+                want = z * mp.quad(lambda s: mp.exp(-z * s - l * mp.log1p(s)),
+                                   [0, scale, 10 * scale, 100 * scale, mp.inf])
+                got = _dwell_average(l, 10.0 ** (snr_db / 10.0))
+                assert 0.0 < got < math.inf
+                assert abs(got - want) <= 1e-12 * want, (l, snr_db, got, want)
 
 
 class TestDiversity:
