@@ -25,7 +25,7 @@ def curves_for_budget(nm):
     lam_mu = ss.calibrate_local_lambda_global(root, 1, root, ALPHA)
     coop = ss.FusionParams(
         n_users=root, n_vote=1,
-        per_user=ss.DetectorParams(m=root, lam=lam_mu, alpha=ALPHA))
+        per_user=ss.DetectorParams(m=root, lam=lam_mu))
     single = [1.0 - ss.avg_pd_numeric(nm, lam_su, AvgSnr.from_db(s))
               for s in GRID_DB]
     network = [ss.global_pmd(coop, AvgSnr.from_db(s)) for s in GRID_DB]
@@ -61,7 +61,7 @@ g_su = ss.gains_single(100, ss.calibrate_lambda(100, ALPHA))
 lam_mu = ss.calibrate_local_lambda_global(10, 1, 10, ALPHA)
 g_mu = ss.gains_coop(ss.FusionParams(
     n_users=10, n_vote=1,
-    per_user=ss.DetectorParams(m=10, lam=lam_mu, alpha=ALPHA)))
+    per_user=ss.DetectorParams(m=10, lam=lam_mu)))
 print(f"\nGain summary at NM=100: single user d={g_su.diversity:.0f}, "
       f"A={g_su.coding_gain:.3f}; network d={g_mu.diversity:.0f}, "
       f"A={g_mu.coding_gain:.3f}")

@@ -7,16 +7,10 @@ every formula, and a CLI experiment runner that reproduces the reference
 sweeps as CSV.
 """
 
-from .channel import (
-    AvgSnr,
-    RandomStream,
-    max_state_pdf_dominant,
-    max_state_pdf_exact,
-)
+from .channel import AvgSnr, RandomStream
 from .detector import (
     DetectorParams,
     GainSummary,
-    asymptotic_pmd_single,
     avg_pd_closed,
     avg_pd_numeric,
     calibrate_lambda,
@@ -26,27 +20,20 @@ from .detector import (
 )
 from .fusion import (
     FusionParams,
-    asymptotic_pmd_coop,
     binom_tail,
     calibrate_local_lambda_global,
     gains_coop,
-    global_pd,
     global_pf,
     global_pmd,
 )
 from .reconfig import (
     ReconfigParams,
-    WeightedChiSqSpec,
     allocate_samples,
     avg_pmd_selection,
     avg_pmd_switching,
     diversity_reconfig,
-    pmd_selection_conditional,
-    pmd_switching_asymptotic_conditional,
-    pmd_switching_conditional,
     reduced_samples,
     selection_gain,
-    selection_gain_large_q,
 )
 from .simkit import (
     McEstimate,
@@ -73,10 +60,7 @@ __all__ = [
     "SchemeConfig",
     "SweepCurve",
     "SweepPoint",
-    "WeightedChiSqSpec",
     "allocate_samples",
-    "asymptotic_pmd_coop",
-    "asymptotic_pmd_single",
     "avg_pd_closed",
     "avg_pd_numeric",
     "avg_pmd_selection",
@@ -89,18 +73,11 @@ __all__ = [
     "fit_diversity_slope",
     "gains_coop",
     "gains_single",
-    "global_pd",
     "global_pf",
     "global_pmd",
-    "max_state_pdf_dominant",
-    "max_state_pdf_exact",
     "pd_single",
     "pf_single",
-    "pmd_selection_conditional",
-    "pmd_switching_asymptotic_conditional",
-    "pmd_switching_conditional",
     "reduced_samples",
     "selection_gain",
-    "selection_gain_large_q",
     "sweep",
 ]

@@ -1,4 +1,4 @@
-"""Rayleigh-fading channel model: SNR sampling and max-state densities.
+"""Rayleigh-fading channel model: SNR sampling.
 
 The received power under Rayleigh fading is exponentially distributed, so an
 "average SNR of gamma_bar" means instantaneous SNR ~ Exp(mean gamma_bar).
@@ -74,42 +74,3 @@ def draw_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
     np.log1p(u, out=u)
     u *= -gamma_bar
     return u
-
-
-def max_state_pdf_exact(gamma_max, avg, q: int):
-    """Density of the maximum of Q i.i.d. exponential SNR realizations.
-
-    (Q/gamma_bar) e^{-g/gamma_bar} (1 - e^{-g/gamma_bar})^{Q-1}, normalized
-    for every Q.
-    """
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    g = np.asarray(gamma_max, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("SNR value must be >= 0")
-    t = g / gamma_bar
-    out = (q / gamma_bar) * np.exp(-t) * (-np.expm1(-t)) ** (q - 1)
-    return float(out) if np.isscalar(gamma_max) else out
-
-
-def max_state_pdf_dominant(gamma_max, avg, q: int):
-    """Large-gamma_bar dominant form (Q/gamma_bar^Q) e^{-g/gamma_bar} g^{Q-1}.
-
-    Not normalized in general; it is the leading behaviour used inside the
-    selection-scheme averaging integral, kept available behind a flag.
-    """
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    g = np.asarray(gamma_max, dtype=float)
-    if np.any(g < 0.0):
-        raise ValueError("SNR value must be >= 0")
-    if q == 1:
-        out = np.exp(-g / gamma_bar) / gamma_bar
-    else:
-        with np.errstate(divide="ignore"):
-            log_g = np.where(g > 0.0, np.log(np.where(g > 0.0, g, 1.0)), -np.inf)
-        out = np.exp(math.log(q) - q * math.log(gamma_bar) - g / gamma_bar
-                     + (q - 1) * log_g)
-    return float(out) if np.isscalar(gamma_max) else out

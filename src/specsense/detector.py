@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .channel import AvgSnr
 from .specfun import (
@@ -40,30 +39,22 @@ _KNEE, _BULK = 2.0 ** np.arange(-2, 7), np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.
 _TOL = 1e-10
 
 
-def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1,
-                dominant: bool = False) -> float:
+def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     """int_0^{lam/2} f_M(g) F(lam/(2g) - 1) dg: Gamma(M) density, fading CDF F.
 
-    F = (1 - e^{-x/gamma_bar})^q (best of q Rayleigh states) or, ``dominant``,
-    Gamma(q+1) P(q, x/gamma_bar).  Over u = log(lam/(2g)) the log-integrand is
-    concave, so the grid's maximum is its one peak.  Panels end where it has
-    fallen by each of ``_DROPS`` nats (the range 60 nats down), where
-    (e^u - 1)/gamma_bar is (q if dominant) 2^k, and around the Gamma bulk in
-    units of 1/sqrt(M).  The order-16 rule's distance from the order-20 value
-    is the error estimate.  A result below the smallest double reads 0.0.
+    F = (1 - e^{-x/gamma_bar})^q, the best of q Rayleigh states.  Over
+    u = log(lam/(2g)) the log-integrand is concave, so the grid's maximum is
+    its one peak.  Panels end where it has fallen by each of ``_DROPS`` nats
+    (the range 60 nats down), where (e^u - 1)/gamma_bar is 2^k, and around
+    the Gamma bulk in units of 1/sqrt(M).  The order-16 rule's distance from
+    the order-20 value is the error estimate.  A result below the smallest
+    double reads 0.0.
     """
     log_half, scale = math.log(lam / 2.0), -1.0 / gamma_bar
 
     def log_integrand(u):  # less ln Gamma(M), which the result adds back
         log_g = log_half - u
-        x = np.expm1(u)
-        if not dominant:
-            return m * log_g - np.exp(log_g) + q * np.log(-np.expm1(x * scale))
-        y = x / gamma_bar  # log Gamma(q+1) P(q, y), by its series where P underflows
-        p = _sp.gammainc(q, y)
-        return m * log_g - np.exp(log_g) + np.where(
-            p > 1e-300, np.log(p) + math.lgamma(q + 1.0),
-            q * np.log(y) - y + np.log1p(y / (q + 1.0) * (1.0 + y / (q + 2.0))))
+        return m * log_g - np.exp(log_g) + q * np.log(-np.expm1(np.expm1(u) * scale))
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         values = log_integrand(_SEARCH)
@@ -76,7 +67,7 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1,
         edges = np.concatenate((
             (lo, hi, _SEARCH[top]), _SEARCH[first + 1:last + 1][level[1:] != level[:-1]],
             log_half - math.log(m) + _BULK / math.sqrt(m),
-            np.log1p(gamma_bar * (q if dominant else 1) * _KNEE)))
+            np.log1p(gamma_bar * _KNEE)))
         edges = np.sort(edges[(edges >= lo) & (edges <= hi)])  # a repeat adds width 0
         widths = (edges[1:] - edges[:-1])[:, None]
         h = np.exp(log_integrand(edges[:-1, None] + widths * _NODES) - peak) * widths
@@ -90,24 +81,16 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1,
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """One energy detector: sample count M, threshold lam, NP level alpha."""
+    """One energy detector: sample count M and threshold lam."""
 
     m: int
     lam: float
-    alpha: float | None = None
 
     def __post_init__(self):
         if int(self.m) != self.m or self.m < 1:
             raise ValueError(f"sample count M must be an integer >= 1, got {self.m!r}")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"threshold must be finite and > 0, got {self.lam!r}")
-        if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"false-alarm level must be in (0, 1), got {self.alpha!r}")
-
-    @classmethod
-    def calibrated(cls, m: int, alpha: float) -> "DetectorParams":
-        """Neyman-Pearson calibration: threshold such that P_F = alpha."""
-        return cls(m=m, lam=calibrate_lambda(m, alpha), alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -129,12 +112,6 @@ class GainSummary:
         if self.coding_gain is None:
             return None
         return 10.0 * math.log10(self.coding_gain)
-
-    @property
-    def selection_gain_db(self) -> float | None:
-        if self.selection_gain is None:
-            return None
-        return 10.0 * math.log10(self.selection_gain)
 
 
 def pf_single(m: int, lam: float) -> float:
@@ -187,19 +164,6 @@ def avg_pd_closed(m: int, lam: float, avg) -> float:
     if ln_value >= 0.0:
         return 1.0
     return math.exp(ln_value)
-
-
-def asymptotic_pmd_single(m: int, lam: float, avg) -> float:
-    """High-SNR missed-detection asymptote lam / (2 gamma_bar (M - 1)).
-
-    Returned raw (it exceeds 1 at low gamma_bar) so log-domain slope fits
-    stay meaningful; callers that report a probability clamp it.
-    """
-    params = DetectorParams(m=m, lam=lam)
-    if params.m < 2:
-        raise ValueError(f"asymptotic form needs M >= 2, got M={m}")
-    gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    return params.lam / (2.0 * gamma_bar * (params.m - 1))
 
 
 def gains_single(m: int, lam: float) -> GainSummary:

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 from scipy import special as _sp
 
 from .channel import AvgSnr
-from .detector import (
-    DetectorParams,
-    GainSummary,
-    _faded_miss,
-    avg_pd_numeric,
-    calibrate_lambda,
-    pf_single,
-)
+from .detector import DetectorParams, GainSummary, _faded_miss, calibrate_lambda, pf_single
 from .specfun import ConvergenceError, inv_reg_upper_gamma, log_binom
 
 
@@ -63,17 +56,11 @@ def global_pf(params: FusionParams) -> float:
     return binom_tail(params.n_users, params.n_vote, p_local)
 
 
-def global_pd(params: FusionParams, avg) -> float:
-    """Global detection: binomial tail over the Rayleigh-averaged local P_D."""
-    pd_local = avg_pd_numeric(params.per_user.m, params.per_user.lam, avg)
-    return binom_tail(params.n_users, params.n_vote, pd_local)
-
-
 def global_pmd(params: FusionParams, avg) -> float:
     """Global missed detection: at least N - n + 1 of the N users miss.
 
     A binomial tail over the local miss taken directly from the fading rule,
-    which keeps its digits deep in the tail; 1 - global_pd within 1e-12.
+    which keeps its digits deep in the tail.
     """
     pmd_local = _faded_miss(params.per_user.m, params.per_user.lam,
                             AvgSnr.coerce(avg).gamma_bar)
@@ -89,7 +76,7 @@ def calibrate_local_lambda_global(n_users: int, n_vote: int, m: int,
     gamma.  The result satisfies |P_F_G - alpha| <= 1e-9.
     """
     params = FusionParams(n_users=n_users, n_vote=n_vote,
-                          per_user=DetectorParams(m=m, lam=1.0, alpha=alpha))
+                          per_user=DetectorParams(m=m, lam=1.0))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"false-alarm level must be in (0, 1), got {alpha!r}")
     if params.n_users == 1:
@@ -115,17 +102,3 @@ def gains_coop(params: FusionParams) -> GainSummary:
     log_a = (log_binom(params.n_users, params.n_vote - 1) / d
              + math.log((params.per_user.m - 1) / params.per_user.lam))
     return GainSummary(diversity=float(d), coding_gain=math.exp(log_a))
-
-
-def asymptotic_pmd_coop(params: FusionParams, avg) -> float:
-    """High-SNR global miss asymptote C(N, n-1) x^{N-n+1}, x = lam/(2 gb (M-1)).
-
-    Raw value (no clamping) so log-log slope fits remain exact.
-    """
-    if params.per_user.m < 2:
-        raise ValueError(f"asymptotic form needs M >= 2, got M={params.per_user.m}")
-    gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    d = params.n_users - params.n_vote + 1
-    log_x = math.log(params.per_user.lam) - math.log(
-        2.0 * gamma_bar * (params.per_user.m - 1))
-    return math.exp(log_binom(params.n_users, params.n_vote - 1) + d * log_x)

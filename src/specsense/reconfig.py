@@ -6,13 +6,6 @@ statistic is a weighted sum of independent chi-squares
 Y = sum_j (1 + gamma_j) x_j with x_j ~ chi-square(2 l_j).  State selection
 uses channel knowledge to sense the whole window on the best of the Q
 states.
-
-The printed min{H(w), G(w)} CDF approximation for the weighted chi-square
-sum is implemented literally, equation by equation; its deviation from the
-exact law (measured against direct Monte Carlo draws) is recorded by the
-test suite as an error envelope, not silently corrected.  The 2M-term G(w)
-sum is taken over the per-real-dimension weight expansion, each state
-contributing its weight 2 l_j times.
 """
 
 from __future__ import annotations
@@ -24,14 +17,7 @@ from scipy import special as _sp
 
 from .channel import AvgSnr
 from .detector import DetectorParams, GainSummary, _faded_miss
-from .specfun import (
-    EULER_GAMMA,
-    ConvergenceError,
-    harmonic,
-    hypergeom_1f2,
-    ln_gamma,
-    reg_lower_gamma,
-)
+from .specfun import ConvergenceError, harmonic, ln_gamma
 
 # Beyond z = 600, E_l(z) nears the smallest double and a continued fraction
 # gives e^z E_l(z); math.exp overflows past 709.78.
@@ -84,76 +70,6 @@ class ReconfigParams:
         return cls(q=q, m=m, alloc=allocate_samples(m, q), lam=lam)
 
 
-@dataclass(frozen=True)
-class WeightedChiSqSpec:
-    """Weighted chi-square mixture: coefficient (1 + gamma_j), dof 2 l_j."""
-
-    coeffs: tuple[float, ...]
-    dofs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.dofs) or not self.coeffs:
-            raise ValueError("coeffs and dofs must be equal-length and nonempty")
-        if any(c < 1.0 for c in self.coeffs):
-            raise ValueError(f"coefficients 1 + gamma_j must be >= 1, got {self.coeffs!r}")
-        if any(int(d) != d or d <= 0 or d % 2 for d in self.dofs):
-            raise ValueError(f"degrees of freedom must be positive even, got {self.dofs!r}")
-
-    @classmethod
-    def from_states(cls, gammas, alloc) -> "WeightedChiSqSpec":
-        gammas = tuple(float(g) for g in gammas)
-        alloc = tuple(int(l) for l in alloc)
-        if len(gammas) != len(alloc):
-            raise ValueError("one SNR realization per dwell required")
-        return cls(coeffs=tuple(1.0 + g for g in gammas),
-                   dofs=tuple(2 * l for l in alloc))
-
-    @property
-    def total_samples(self) -> int:
-        return sum(self.dofs) // 2
-
-
-def pmd_switching_conditional(spec: WeightedChiSqSpec, lam: float) -> float:
-    """min{H(w), G(w)} approximation of P(Y <= lam) for the switching statistic.
-
-    w       = lam / sum_j l_j (1 + gamma_j)
-    H(w)    = P(M, lam / prod_j (1 + gamma_j)^{l_j / M})
-    G(w)    = sum over the 2M expanded real dimensions of
-              w (1+gamma_j)/lam * P(lam / (2 w (1+gamma_j)), lam / (1+gamma_j))
-    with P the regularized lower incomplete gamma.  Clamped to [0, 1].
-    """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"threshold must be finite and > 0, got {lam!r}")
-    coeffs = spec.coeffs
-    dwells = [d // 2 for d in spec.dofs]
-    m = sum(dwells)
-
-    log_geo = sum(l * math.log(c) for l, c in zip(dwells, coeffs)) / m
-    h = reg_lower_gamma(float(m), lam / math.exp(log_geo))
-
-    w = lam / sum(l * c for l, c in zip(dwells, coeffs))
-    g = 0.0
-    for l, c in zip(dwells, coeffs):
-        shape = lam / (2.0 * w * c)
-        g += 2 * l * (w * c / lam) * reg_lower_gamma(shape, lam / c)
-
-    return min(1.0, max(0.0, min(h, g)))
-
-
-def pmd_switching_asymptotic_conditional(spec: WeightedChiSqSpec, lam: float) -> float:
-    """Small-CDF asymptote lam^M / (Gamma(M+1) prod (1+gamma_j)^{l_j}).
-
-    Raw log-domain value; exceeds 1 outside the deep-tail regime.
-    """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"threshold must be finite and > 0, got {lam!r}")
-    dwells = [d // 2 for d in spec.dofs]
-    m = sum(dwells)
-    log_val = (m * math.log(lam) - ln_gamma(m + 1.0)
-               - sum(l * math.log(c) for l, c in zip(dwells, spec.coeffs)))
-    return math.exp(log_val)
-
-
 def _dwell_average(l: int, gamma_bar: float) -> float:
     """E[(1 + gamma)^{-l}] = z e^z E_l(z) for gamma ~ Exp(gamma_bar), z = 1/gamma_bar.
 
@@ -177,30 +93,19 @@ def _dwell_average(l: int, gamma_bar: float) -> float:
     raise ConvergenceError(f"dwell-average continued fraction stalled at l={l}, z={z}")
 
 
-def avg_pmd_switching(params: ReconfigParams, avg, method: str = "quadrature") -> float:
+def avg_pmd_switching(params: ReconfigParams, avg) -> float:
     """Rayleigh-averaged switching miss probability from the asymptote.
 
-    quadrature (the historical name): lam^M/Gamma(M+1) times the closed-form
-    dwell averages E[(1+gamma_j)^{-l_j}].  asymptotic: the fully reduced
-    large-SNR form lam^M/Gamma(M+1) / (prod (l_j - 1) * gamma_bar^Q), which
-    needs every l_j >= 2.  Both are raw (unclamped) asymptote values formed
-    in the log domain; past the double range (M >= 1000 at moderate SNR)
-    the call raises ConvergenceError.
+    lam^M/Gamma(M+1) times the closed-form dwell averages
+    E[(1+gamma_j)^{-l_j}]: the raw (unclamped) asymptote, formed in the log
+    domain; past the double range (M >= 1000 at moderate SNR) the call
+    raises ConvergenceError.
     """
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
     m = sum(params.alloc)
     log_val = m * math.log(params.lam) - ln_gamma(m + 1.0)
-    if method == "quadrature":
-        log_val += sum(params.alloc.count(l) * math.log(_dwell_average(l, gamma_bar))
-                       for l in sorted(set(params.alloc)))
-    elif method == "asymptotic":
-        if any(l < 2 for l in params.alloc):
-            raise ValueError(
-                f"asymptotic average needs every dwell >= 2 samples, got {params.alloc!r}")
-        log_val = (log_val - sum(math.log(l - 1.0) for l in params.alloc)
-                   - len(params.alloc) * math.log(gamma_bar))
-    else:
-        raise ValueError(f"method must be quadrature or asymptotic, got {method!r}")
+    log_val += sum(params.alloc.count(l) * math.log(_dwell_average(l, gamma_bar))
+                   for l in sorted(set(params.alloc)))
     if log_val > _LOG_MAX:
         raise ConvergenceError(f"switching asymptote e^{log_val:.1f} exceeds the double range")
     return math.exp(log_val)
@@ -224,29 +129,16 @@ def diversity_reconfig(m: int, q: int, csi_mode: str = "switching") -> GainSumma
                        coding_gain=None, selection_gain=sel)
 
 
-def pmd_selection_conditional(m: int, lam: float, gamma_max: float) -> float:
-    """Conditional selection miss P(M, lam / (2 (1 + gamma_max)))."""
-    params = DetectorParams(m=m, lam=lam)
-    if not (math.isfinite(gamma_max) and gamma_max >= 0.0):
-        raise ValueError(f"best-state SNR must be finite and >= 0, got {gamma_max!r}")
-    return reg_lower_gamma(float(params.m), params.lam / (2.0 * (1.0 + gamma_max)))
-
-
-def avg_pmd_selection(m: int, lam: float, avg, q: int,
-                      pdf_mode: str = "exact") -> float:
+def avg_pmd_selection(m: int, lam: float, avg, q: int) -> float:
     """Average selection miss: conditional miss integrated over the best state.
 
-    pdf_mode "exact" uses the true max-of-Q CDF (what Monte Carlo matches);
-    "dominant" the large-gamma_bar density (Q/gamma_bar^Q) x^{Q-1}
-    e^{-x/gamma_bar}.  Both go through ``detector._faded_miss``.
+    Uses the true max-of-Q CDF (what Monte Carlo matches), through
+    ``detector._faded_miss``.
     """
     params = DetectorParams(m=m, lam=lam)
     if int(q) != q or q < 1:
         raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    if pdf_mode not in ("exact", "dominant"):
-        raise ValueError(f"pdf_mode must be exact or dominant, got {pdf_mode!r}")
-    return _faded_miss(params.m, params.lam, AvgSnr.coerce(avg).gamma_bar, int(q),
-                       dominant=pdf_mode == "dominant")
+    return _faded_miss(params.m, params.lam, AvgSnr.coerce(avg).gamma_bar, int(q))
 
 
 def selection_gain(q: int) -> tuple[float, float]:
@@ -255,13 +147,6 @@ def selection_gain(q: int) -> tuple[float, float]:
         raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
     h = harmonic(int(q))
     return h, 10.0 * math.log10(h)
-
-
-def selection_gain_large_q(q: int) -> float:
-    """Large-Q approximation log(Q) + Euler-Mascheroni of the selection gain."""
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    return math.log(int(q)) + EULER_GAMMA
 
 
 def reduced_samples(m: int, q: int) -> int:
@@ -275,24 +160,3 @@ def reduced_samples(m: int, q: int) -> int:
     if int(m) != m or m < q:
         raise ValueError(f"sample count M must be an integer >= Q, got {m!r}")
     return max(math.ceil(int(m) / harmonic(int(q))), int(q))
-
-
-def selection_pmd_hypergeom_diagnostic(m: int, q: int, lam: float, avg,
-                                       k1: float, k2: float) -> float:
-    """Hypergeometric-series shape of the averaged selection miss (diagnostic).
-
-    k1/gb^Q * 1F2(Q; Q+1, -M+Q+1; lam/(2 gb))
-      + k2/gb^M * 1F2(M; M+1, -M+Q+1; lam/(2 gb))
-    with k1, k2 fitted constants supplied by the caller.  Only the gb^-min{M,Q}
-    leading behaviour is meaningful; the shared denominator parameter
-    -M+Q+1 is a pole whenever M > Q, so the series form only evaluates for
-    M <= Q.  Excluded from acceptance-grade numbers.
-    """
-    if int(m) != m or m < 1 or int(q) != q or q < 1:
-        raise ValueError("M and Q must be integers >= 1")
-    gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    z = lam / (2.0 * gamma_bar)
-    b_shared = -int(m) + int(q) + 1
-    term1 = k1 * gamma_bar ** (-int(q)) * hypergeom_1f2(float(q), q + 1.0, float(b_shared), z)
-    term2 = k2 * gamma_bar ** (-int(m)) * hypergeom_1f2(float(m), m + 1.0, float(b_shared), z)
-    return term1 + term2

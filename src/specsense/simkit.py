@@ -53,7 +53,7 @@ class _Noncoop:
     payload_type = DetectorParams
 
     def payload(self, sc):
-        return DetectorParams(m=sc.m, lam=1.0, alpha=sc.alpha)
+        return DetectorParams(m=sc.m, lam=1.0)
 
     def threshold(self, p, alpha: float):
         return replace(p, lam=calibrate_lambda(p.m, alpha))
@@ -124,7 +124,7 @@ class _Switching(_Noncoop):
         return float(min(p.m, p.q))
 
     def analytic(self, p, avg) -> tuple[float, float]:
-        pmd = min(1.0, avg_pmd_switching(p, avg, method="quadrature"))
+        pmd = min(1.0, avg_pmd_switching(p, avg))
         return pf_single(p.m, p.lam), pmd
 
     def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
@@ -201,14 +201,13 @@ class SchemeConfig:
 
     @classmethod
     def noncoop(cls, m: int, lam: float, avg, alpha: float | None = None) -> "SchemeConfig":
-        config = cls("noncoop", DetectorParams(m=m, lam=lam, alpha=alpha),
-                     AvgSnr.coerce(avg))
+        config = cls("noncoop", DetectorParams(m=m, lam=lam), AvgSnr.coerce(avg))
         return config if alpha is None else config.with_alpha(alpha)
 
     @classmethod
     def coop(cls, n_users: int, n_vote: int, m: int, lam: float, avg,
              alpha: float | None = None) -> "SchemeConfig":
-        per_user = DetectorParams(m=m, lam=lam, alpha=alpha)
+        per_user = DetectorParams(m=m, lam=lam)
         config = cls("coop", FusionParams(n_users=n_users, n_vote=n_vote,
                                           per_user=per_user), AvgSnr.coerce(avg))
         return config if alpha is None else config.with_alpha(alpha)
@@ -270,9 +269,6 @@ class SweepCurve:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("SNR grid must be strictly increasing")
 
-    def snr_db_values(self) -> np.ndarray:
-        return np.array([p.snr_db for p in self.points])
-
     def pmd_values(self) -> np.ndarray:
         return np.array([p.pmd.value for p in self.points])
 
@@ -295,22 +291,19 @@ def _one_plus_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
 
 def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int,
                    *, stream_id: int = 0, min_events: int | None = None,
-                   floor_side: str = "absent",
                    max_trials: int = 10 ** 8) -> McEstimate:
     """Monte Carlo estimate of P(decision = present) from per-block substreams.
 
     Deterministic for fixed (seed, stream_id, trials) regardless of execution
     order.  When ``min_events`` is given, the trial count escalates tenfold
-    (capped at ``max_trials``) until that many decisions on ``floor_side``
-    have been seen; flooring on "absent" keeps deep-tail missed-detection
-    points eligible for slope fits.  Each step draws only the blocks that no
+    (capped at ``max_trials``) until that many "absent" decisions have been
+    seen, which keeps deep-tail missed-detection points eligible for slope
+    fits.  Each step draws only the blocks that no
     earlier step has counted, so escalating to T trials gives the same bits
     as asking for T trials at once.
     """
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
-    if floor_side not in ("present", "absent"):
-        raise ValueError(f"floor_side must be 'present' or 'absent', got {floor_side!r}")
     base = RandomStream(seed=seed, stream_id=stream_id)
 
     def count(block: tuple[int, int]) -> int:
@@ -331,9 +324,7 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     trials = int(trials)
     hits = run(trials)
     if min_events is not None:
-        def floored(h: int, t: int) -> int:
-            return h if floor_side == "present" else t - h
-        while floored(hits, trials) < min_events and trials < max_trials:
+        while trials - hits < min_events and trials < max_trials:
             trials = min(trials * 10, int(max_trials))
             hits = run(trials)
     return McEstimate.from_counts(hits, trials, seed)

@@ -7,11 +7,11 @@ computes each of P and Q directly where it is small; against mpmath their
 relative error stays below 1e-11 for s from 0.5 to 1e4
 (``tests/test_specfun.py``).
 
-Modified Bessel K of integer order is evaluated through the exponentially
-scaled seeds ``k0e``/``k1e`` and the (stable) upward three-term recurrence,
-carrying an explicit log-scale so that huge orders at small argument neither
-overflow nor underflow.  ``ln_bessel_k_int`` exposes the log-domain value
-needed by the averaged-detection closed form at large sample counts.
+``ln_bessel_k_int`` gives log K_M(x) of integer order M through the
+exponentially scaled seeds ``k0e``/``k1e`` and the (stable) upward
+three-term recurrence, carrying an explicit log-scale so that huge orders at
+small argument neither overflow nor underflow; the averaged-detection closed
+form needs it at large sample counts.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ from __future__ import annotations
 import math
 
 from scipy import special as _sp
-
-# Euler-Mascheroni constant, used by the large-Q harmonic approximation.
-EULER_GAMMA = 0.5772156649015329
 
 _HYP_MAX_TERMS = 10_000
 
@@ -102,19 +99,6 @@ def ln_bessel_k_int(order: int, x: float) -> float:
             k_curr /= 1e250
             log_scale += 250.0 * math.log(10.0)
     return math.log(k_curr) + log_scale - x
-
-
-def bessel_k_int(order: int, x: float) -> float:
-    """Modified Bessel function of the second kind K_M(x), integer M >= 1.
-
-    Overflows to ``inf`` where the true value exceeds float range (large
-    order at small argument); use :func:`ln_bessel_k_int` there.
-    """
-    _require(int(order) >= 1, f"bessel_k_int requires order >= 1, got {order}")
-    ln_k = ln_bessel_k_int(int(order), x)
-    if ln_k > 709.0:
-        return math.inf
-    return math.exp(ln_k)
 
 
 def hypergeom_1f2(a: float, b1: float, b2: float, z: float) -> float:

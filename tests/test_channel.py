@@ -1,4 +1,4 @@
-"""Fading-channel sampling and density tests.
+"""Fading-channel sampling tests.
 
 Monte Carlo oracles run at fixed seeds; distributional checks use standard
 3-standard-error bands, a Kolmogorov-Smirnov bound, and a chi-square
@@ -9,15 +9,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
-from specsense.channel import (
-    AvgSnr,
-    RandomStream,
-    draw_snr,
-    max_state_pdf_dominant,
-    max_state_pdf_exact,
-)
+from specsense.channel import AvgSnr, RandomStream, draw_snr
+from specsense.reconfig import avg_pmd_selection
 from specsense.specfun import harmonic
 
 
@@ -121,23 +116,23 @@ class TestSampleStates:
 
 
 class TestMaxStatePdf:
-    def test_q1_reduces_to_exponential(self):
-        gs = np.linspace(0.0, 12.0, 30)
-        want = np.exp(-gs / 3.0) / 3.0
-        got = max_state_pdf_exact(gs, AvgSnr(3.0), 1)
-        assert got == pytest.approx(want, rel=1e-12)
+    """The max-of-Q law, through the selection miss that integrates its CDF.
+
+    With the threshold far above the energy statistic's bulk every fading
+    state counts as a miss, so the miss equals the CDF's total mass.
+    """
 
     def test_normalization(self):
-        val, _ = integrate.quad(lambda g: max_state_pdf_exact(g, AvgSnr(3.0), 5),
-                                0.0, 300.0, epsabs=1e-10, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-8)
+        assert avg_pmd_selection(5, 1e4, AvgSnr(3.0), 5) == pytest.approx(1.0, abs=1e-8)
 
     def test_normalization_large_q(self):
         for q in (16, 64):
-            val, _ = integrate.quad(
-                lambda g: max_state_pdf_exact(g, AvgSnr(1.0), q),
-                0.0, 120.0, epsabs=1e-10, limit=200)
-            assert val == pytest.approx(1.0, abs=1e-8)
+            assert avg_pmd_selection(5, 1e4, AvgSnr(1.0), q) == pytest.approx(
+                1.0, abs=1e-8)
+
+    def test_rejects_negative_snr(self):
+        with pytest.raises(ValueError):
+            avg_pmd_selection(5, 20.0, -0.1, 2)
 
     def test_chi_square_goodness_of_fit(self):
         q, gbar, n = 4, 1.0, 10 ** 5
@@ -155,26 +150,6 @@ class TestMaxStatePdf:
         # 30 cells, edges estimated from the sample: compare against the
         # 0.999 quantile with 29 dof
         assert chi2 < stats.chi2.ppf(0.999, 29)
-
-    def test_dominant_q1_equals_exact(self):
-        gs = np.linspace(0.0, 10.0, 20)
-        assert max_state_pdf_dominant(gs, AvgSnr(2.0), 1) == pytest.approx(
-            max_state_pdf_exact(gs, AvgSnr(2.0), 1), rel=1e-12)
-
-    def test_dominant_matches_exact_at_high_avg_snr(self):
-        ratio = (max_state_pdf_exact(1.0, AvgSnr(1e4), 6)
-                 / max_state_pdf_dominant(1.0, AvgSnr(1e4), 6))
-        assert ratio == pytest.approx(1.0, abs=1e-3)
-
-    def test_dominant_direct_substitution(self):
-        # (Q/gbar^Q) e^{-g/gbar} g^{Q-1} at g=2, gbar=5, Q=3
-        want = 3.0 / 125.0 * math.exp(-0.4) * 4.0
-        assert max_state_pdf_dominant(2.0, AvgSnr(5.0), 3) == pytest.approx(
-            want, rel=1e-12)
-
-    def test_rejects_negative_snr(self):
-        with pytest.raises(ValueError):
-            max_state_pdf_exact(-0.1, AvgSnr(1.0), 2)
 
 
 class TestSelectionGainLink:

@@ -21,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from specsense.detector import (
     DetectorParams,
     GainSummary,
-    asymptotic_pmd_single,
     avg_pd_closed,
     avg_pd_numeric,
     calibrate_lambda,
@@ -42,7 +41,7 @@ def exact_pmd_coefficient(m, lam):
 
 class TestParams:
     def test_calibrated_constructor(self):
-        p = DetectorParams.calibrated(25, 0.01)
+        p = DetectorParams(m=25, lam=calibrate_lambda(25, 0.01))
         assert pf_single(p.m, p.lam) == pytest.approx(0.01, abs=1e-9)
 
     def test_validation(self):
@@ -50,8 +49,6 @@ class TestParams:
             DetectorParams(m=0, lam=1.0)
         with pytest.raises(ValueError):
             DetectorParams(m=5, lam=-2.0)
-        with pytest.raises(ValueError):
-            DetectorParams(m=5, lam=1.0, alpha=1.5)
 
     def test_gain_summary_db(self):
         g = GainSummary(diversity=1.0, coding_gain=0.9)
@@ -205,31 +202,24 @@ class TestAvgPdClosed:
 
 
 class TestAsymptoticPmd:
-    def test_slope_is_exactly_minus_one(self):
-        a = asymptotic_pmd_single(10, 10.0, 50.0)
-        b = asymptotic_pmd_single(10, 10.0, 100.0)
-        assert a == 2.0 * b
-
-    def test_direct_substitution(self):
-        assert asymptotic_pmd_single(10, 10.0, 100.0) == pytest.approx(
-            10.0 / (2 * 100.0 * 9), rel=1e-12)
-
     def test_offset_to_exact_average(self):
         # The printed form lam/(2 gb (M-1)) drops the e^{1/gb} first-order
         # term, so even asymptotically it exceeds the exact average by the
         # constant factor c/(c - 1) with c = lam/(2(M-1)); the parts
-        # identity pins the exact coefficient and MC confirms it.
+        # identity pins the exact coefficient.  README records this offset.
         m, alpha = 10, 0.05
         lam = calibrate_lambda(m, alpha)
         c = lam / (2.0 * (m - 1))
         expected_ratio = c / exact_pmd_coefficient(m, lam)
         assert expected_ratio == pytest.approx(c / (c - 1.0), rel=0.02)
-        got = asymptotic_pmd_single(m, lam, 1e3) / (1.0 - avg_pd_numeric(m, lam, 1e3))
+        printed = lam / (2.0 * 1e3 * (m - 1))
+        got = printed / (1.0 - avg_pd_numeric(m, lam, 1e3))
         assert got == pytest.approx(expected_ratio, rel=0.02)
 
     def test_requires_two_samples(self):
+        # the high-SNR miss coefficient (M - 1)/lam vanishes at M = 1
         with pytest.raises(ValueError):
-            asymptotic_pmd_single(1, 5.0, 10.0)
+            gains_single(1, 5.0)
 
 
 class TestGains:

@@ -19,11 +19,9 @@ from specsense.channel import AvgSnr
 from specsense.detector import DetectorParams, avg_pd_numeric, calibrate_lambda, pf_single
 from specsense.fusion import (
     FusionParams,
-    asymptotic_pmd_coop,
     binom_tail,
     calibrate_local_lambda_global,
     gains_coop,
-    global_pd,
     global_pf,
     global_pmd,
 )
@@ -40,9 +38,8 @@ def enumeration_oracle(n, n_vote, p):
     return total
 
 
-def make_params(n, n_vote, m, lam, alpha=None):
-    return FusionParams(n_users=n, n_vote=n_vote,
-                        per_user=DetectorParams(m=m, lam=lam, alpha=alpha))
+def make_params(n, n_vote, m, lam):
+    return FusionParams(n_users=n, n_vote=n_vote, per_user=DetectorParams(m=m, lam=lam))
 
 
 class TestBinomialKernels:
@@ -93,8 +90,8 @@ class TestGlobalProbabilities:
         lam = calibrate_lambda(10, 0.05)
         params = make_params(1, 1, 10, lam)
         avg = AvgSnr(5.0)
-        assert global_pd(params, avg) == pytest.approx(
-            avg_pd_numeric(10, lam, avg), rel=1e-12)
+        assert global_pmd(params, avg) == pytest.approx(
+            1.0 - avg_pd_numeric(10, lam, avg), rel=1e-12)
 
     def test_certain_detection(self):
         assert binom_tail(7, 3, 1.0) == 1.0
@@ -103,11 +100,11 @@ class TestGlobalProbabilities:
         from specsense.simkit import SchemeConfig, estimate_point
         lam = calibrate_lambda(10, 0.05)
         params = make_params(5, 2, 10, lam)
-        want = global_pd(params, 10.0)
+        want = global_pmd(params, 10.0)
         cfg = SchemeConfig.coop(5, 2, 10, lam, 10.0)
         est = estimate_point(cfg, "H1", 10 ** 6, seed=31)
         se = math.sqrt(want * (1 - want) / 10 ** 6)
-        assert abs(est.value - want) <= 3 * se
+        assert abs((1.0 - est.value) - want) <= 3 * se
 
     def test_pmd_single_survivor_term(self):
         # n = 1: only the all-miss vector survives
@@ -121,8 +118,9 @@ class TestGlobalProbabilities:
         lam = calibrate_lambda(12, 0.07)
         params = make_params(10, 3, 12, lam)
         avg = AvgSnr(5.0)
+        pd_local = avg_pd_numeric(12, lam, avg)
         assert global_pmd(params, avg) == pytest.approx(
-            1.0 - global_pd(params, avg), abs=1e-12)
+            1.0 - binom_tail(10, 3, pd_local), abs=1e-12)
 
     def test_pmd_hand_substitution(self):
         # N=4, n=2, local md=0.3: 0.3^4 + 4 * 0.3^3 * 0.7 = 0.0837
@@ -190,27 +188,24 @@ class TestGains:
 
 class TestAsymptoticCoop:
     def test_two_user_or_rule_square(self):
+        # OR rule, N = 2: both users must miss
         params = make_params(2, 1, 10, 10.0)
-        x = 10.0 / (2 * 50.0 * 9)
-        assert asymptotic_pmd_coop(params, 50.0) == pytest.approx(x ** 2, rel=1e-12)
-
-    def test_decade_scaling(self):
-        params = make_params(3, 2, 10, 15.0)
-        a = asymptotic_pmd_coop(params, 100.0)
-        b = asymptotic_pmd_coop(params, 1000.0)
-        assert a / b == pytest.approx(10.0 ** (3 - 2 + 1), rel=1e-12)
+        x = 1.0 - avg_pd_numeric(10, 10.0, 50.0)
+        assert global_pmd(params, 50.0) == pytest.approx(x ** 2, rel=1e-12)
 
     def test_offset_to_exact_average(self):
-        # Per user the printed asymptote exceeds the exact averaged miss by
-        # c/(c-1), c = lam/(2(M-1)) (the e^{1/gb} term it drops), so the
-        # d = N-n+1 power carries that factor to the ratio below.
-        n, n_vote, m, alpha = 3, 2, 10, 0.05
+        # Per user the printed asymptote lam/(2 gb (M-1)) exceeds the exact
+        # averaged miss by c/(c-1), c = lam/(2(M-1)) (the e^{1/gb} term it
+        # drops), so the printed C(N, n-1) x^d, d = N-n+1, carries that
+        # factor to the d-th power.  README records this offset.
+        n, n_vote, m, alpha, gb = 3, 2, 10, 0.05, 1e4
         lam = calibrate_local_lambda_global(n, n_vote, m, alpha)
         params = make_params(n, n_vote, m, lam)
         d = n - n_vote + 1
         c = lam / (2.0 * (m - 1))
+        printed = math.comb(n, n_vote - 1) * (lam / (2.0 * gb * (m - 1))) ** d
         expected = (c / exact_pmd_coefficient(m, lam)) ** d
-        got = asymptotic_pmd_coop(params, 1e4) / global_pmd(params, 1e4)
+        got = printed / global_pmd(params, gb)
         assert got == pytest.approx(expected, rel=0.05)
 
 
@@ -239,8 +234,6 @@ class TestValidation:
     def test_gains_need_two_samples(self):
         with pytest.raises(ValueError):
             gains_coop(make_params(4, 1, 1, 10.0))
-        with pytest.raises(ValueError):
-            asymptotic_pmd_coop(make_params(4, 1, 1, 10.0), 10.0)
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):

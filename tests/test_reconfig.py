@@ -1,17 +1,4 @@
-"""Reconfigurable-antenna analytics tests.
-
-The min{H(w), G(w)} weighted chi-square CDF approximation is implemented
-exactly as printed, so these tests measure its deviation from exact law
-(Monte Carlo draws of the weighted sum) and pin it inside recorded error
-envelopes rather than asserting closeness: the approximation is coarse at
-low SNR (it omits the 1/2 scale inside H's argument) and that deviation is
-a property of the printed formula, not of this implementation.
-
-Observed deviations (fixed seeds):
-  Q=1, M=10, lam=20, gamma=3     approx - exact ~= +0.032
-  all-zero gammas, M=10, lam=15  approx - exact ~= +0.71
-  Q=2, l=(2,2), gammas=(1,4)     approx - MC    ~= +0.41
-"""
+"""Reconfigurable-antenna analytics tests."""
 
 import math
 
@@ -24,20 +11,20 @@ from specsense.detector import avg_pd_numeric, calibrate_lambda, pd_single, pf_s
 from specsense.reconfig import (
     ReconfigParams,
     _dwell_average,
-    WeightedChiSqSpec,
     allocate_samples,
     avg_pmd_selection,
     avg_pmd_switching,
     diversity_reconfig,
-    pmd_selection_conditional,
-    pmd_switching_asymptotic_conditional,
-    pmd_switching_conditional,
     reduced_samples,
     selection_gain,
-    selection_gain_large_q,
-    selection_pmd_hypergeom_diagnostic,
 )
-from specsense.specfun import ConvergenceError, harmonic, ln_gamma, reg_lower_gamma
+from specsense.specfun import (
+    ConvergenceError,
+    harmonic,
+    hypergeom_1f2,
+    ln_gamma,
+    reg_lower_gamma,
+)
 
 
 def compositions(total, parts):
@@ -73,160 +60,89 @@ class TestAllocation:
             assert set(alloc) <= {base, base + 1}
 
 
-class TestWeightedChiSqSpec:
-    def test_from_states(self):
-        spec = WeightedChiSqSpec.from_states([0.5, 2.0], [3, 4])
-        assert spec.coeffs == (1.5, 3.0)
-        assert spec.dofs == (6, 8)
-        assert spec.total_samples == 7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightedChiSqSpec(coeffs=(0.5,), dofs=(4,))  # coefficient < 1
-        with pytest.raises(ValueError):
-            WeightedChiSqSpec(coeffs=(1.5,), dofs=(3,))  # odd dof
-        with pytest.raises(ValueError):
-            WeightedChiSqSpec(coeffs=(1.5,), dofs=(0,))  # degenerate dwell
-
-
-class TestSwitchingConditional:
-    def test_q1_reduction_envelope(self):
-        spec = WeightedChiSqSpec.from_states([3.0], [10])
-        approx = pmd_switching_conditional(spec, 20.0)
-        exact = 1.0 - pd_single(10, 20.0, 3.0)
-        print(f"Q=1 reduction: approx {approx:.6f} exact {exact:.6f} "
-              f"deviation {approx - exact:+.4f}")
-        assert abs(approx - exact) <= 0.05
-
-    def test_h0_degeneration_envelope(self):
-        spec = WeightedChiSqSpec.from_states([0.0, 0.0], [5, 5])
-        approx = pmd_switching_conditional(spec, 15.0)
-        exact = 1.0 - pf_single(10, 15.0)
-        print(f"H0 degeneration: approx {approx:.6f} exact {exact:.6f} "
-              f"deviation {approx - exact:+.4f}")
-        assert abs(approx - exact) <= 0.75
-
-    def test_monte_carlo_cdf_envelope(self):
-        spec = WeightedChiSqSpec.from_states([1.0, 4.0], [2, 2])
-        approx = pmd_switching_conditional(spec, 12.0)
-        gen = np.random.Generator(np.random.Philox(key=np.array([123, 0], np.uint64)))
-        n = 10 ** 7
-        y = 2.0 * gen.gamma(2.0, 2.0, n) + 5.0 * gen.gamma(2.0, 2.0, n)
-        empirical = float((y <= 12.0).mean())
-        print(f"MC CDF oracle: approx {approx:.6f} empirical {empirical:.6f} "
-              f"deviation {approx - empirical:+.4f}")
-        assert abs(approx - empirical) <= 0.45
-
-    def test_bounded(self):
-        spec = WeightedChiSqSpec.from_states([0.2, 8.0, 1.0], [4, 4, 4])
-        for lam in (1.0, 20.0, 80.0, 400.0):
-            assert 0.0 <= pmd_switching_conditional(spec, lam) <= 1.0
-
-    def test_monotone_in_each_gamma_and_lambda(self):
-        rng = np.random.default_rng(5)
-        for _ in range(150):
-            q = int(rng.integers(1, 5))
-            alloc = tuple(int(a) for a in rng.integers(1, 6, q))
-            lam = float(rng.uniform(1.0, 8.0) * sum(alloc))
-            gammas = rng.exponential(rng.uniform(0.1, 50.0), q)
-            base = pmd_switching_conditional(
-                WeightedChiSqSpec.from_states(gammas, alloc), lam)
-            j = int(rng.integers(0, q))
-            bumped = gammas.copy()
-            bumped[j] += float(rng.uniform(0.01, 1.0))
-            up = pmd_switching_conditional(
-                WeightedChiSqSpec.from_states(bumped, alloc), lam)
-            assert up <= base + 1e-12
-            wider = pmd_switching_conditional(
-                WeightedChiSqSpec.from_states(gammas, alloc), lam * 1.25)
-            assert wider >= base - 1e-12
-
-    def test_min_attained_by_h_at_high_snr(self):
-        # at calibrated lambda and gamma_bar = 1e3 the H branch should win
-        # in at least 99% of sampled realizations
-        rng = np.random.default_rng(6)
-        lam = calibrate_lambda(20, 0.05)
-        alloc = (5, 5, 5, 5)
-        wins = 0
-        trials = 500
-        for _ in range(trials):
-            gammas = rng.exponential(1e3, 4)
-            coeffs = 1.0 + gammas
-            m = sum(alloc)
-            log_geo = sum(l * math.log(c) for l, c in zip(alloc, coeffs)) / m
-            h = reg_lower_gamma(float(m), lam / math.exp(log_geo))
-            w = lam / sum(l * c for l, c in zip(alloc, coeffs))
-            g = sum(2 * l * (w * c / lam) * reg_lower_gamma(lam / (2 * w * c), lam / c)
-                    for l, c in zip(alloc, coeffs))
-            if h <= g:
-                wins += 1
-        assert wins / trials >= 0.99
-
-
-class TestSwitchingAsymptoticConditional:
-    def test_zero_gamma_leading_term(self):
-        spec = WeightedChiSqSpec.from_states([0.0] * 3, [2, 2, 2])
-        want = math.exp(6 * math.log(9.0) - ln_gamma(7.0))
-        assert pmd_switching_asymptotic_conditional(spec, 9.0) == pytest.approx(
-            want, rel=1e-12)
-
-    def test_product_structure(self):
-        a = WeightedChiSqSpec.from_states([1.0, 3.0], [3, 2])
-        b = WeightedChiSqSpec.from_states([3.0, 7.0], [3, 2])  # 1+gamma doubled
-        ratio = (pmd_switching_asymptotic_conditional(a, 11.0)
-                 / pmd_switching_asymptotic_conditional(b, 11.0))
-        assert ratio == pytest.approx(2.0 ** 5, rel=1e-12)
-
-    def test_ratio_to_full_conditional_at_high_snr(self):
-        rng = np.random.default_rng(7)
-        gammas = rng.exponential(1e3, 2)
-        spec = WeightedChiSqSpec.from_states(gammas, [5, 5])
-        lam = calibrate_lambda(10, 0.05)
-        full = pmd_switching_conditional(spec, lam)
-        asym = pmd_switching_asymptotic_conditional(spec, lam)
-        assert asym / full == pytest.approx(1.0, abs=0.15)
-
-
 class TestAvgSwitching:
     def test_asymptotic_slope_is_exactly_q(self):
+        # The dwell averages reach their gb^-1 limit only as gb -> infinity:
+        # over 30 -> 40 dB the ratio is 0.99888 x 10^Q for Q = 10, M = 100.
         params = ReconfigParams.make(10, 100, calibrate_lambda(100, 0.05))
-        a = avg_pmd_switching(params, 1e3, method="asymptotic")
-        b = avg_pmd_switching(params, 1e4, method="asymptotic")
-        assert a / b == pytest.approx(10.0 ** 10, rel=1e-9)
+        a = avg_pmd_switching(params, 1e3)
+        b = avg_pmd_switching(params, 1e4)
+        assert a / b == pytest.approx(10.0 ** 10, rel=2e-3)
 
     def test_quadrature_vs_asymptotic(self):
+        # against the fully reduced large-SNR form
+        # lam^M / Gamma(M+1) / (prod (l_j - 1) * gamma_bar^Q)
         params = ReconfigParams(q=3, m=12, alloc=(4, 4, 4), lam=30.0)
-        ratio = (avg_pmd_switching(params, 1e4, method="quadrature")
-                 / avg_pmd_switching(params, 1e4, method="asymptotic"))
+        reduced = math.exp(12 * math.log(30.0) - ln_gamma(13.0)
+                           - 3 * math.log(3.0) - 3 * math.log(1e4))
+        ratio = avg_pmd_switching(params, 1e4) / reduced
         assert ratio == pytest.approx(1.0, abs=0.05)
 
     def test_negative_parameter_gamma_identity(self):
-        # Gamma(1-l, 1/gb) ~ gb^{l-1}/(l-1) at l=5, gb=1e3, by quadrature
+        # Gamma(1-l, 1/gb) ~ gb^{l-1}/(l-1) at l=5, gb=1e3, by quadrature;
+        # the dwell average is x^l e^x Gamma(1-l, x) with x = 1/gb
         l, gb = 5, 1e3
         x = 1.0 / gb
         val, _ = integrate.quad(lambda t: t ** (-l) * math.exp(-t), x, 60.0,
                                 points=[2 * x, 1e-2, 0.1, 1.0], epsabs=1e-30,
                                 epsrel=1e-12, limit=400)
         assert val == pytest.approx(gb ** (l - 1) / (l - 1), rel=0.01)
+        assert _dwell_average(l, gb) == pytest.approx(x ** l * math.exp(x) * val,
+                                                      rel=1e-9)
 
     def test_asymptotic_needs_two_sample_dwells(self):
+        # a dwell of l >= 2 averages to 1/((l-1) gb); a singleton dwell to
+        # (ln gb - Euler's constant)/gb, so the reduced form needs l_j >= 2;
+        # the l = 2 limit carries a (ln gb)/gb correction, 1.4e-5 here
+        gb = 1e6
+        assert _dwell_average(2, gb) * gb == pytest.approx(1.0, rel=1e-4)
+        assert _dwell_average(1, gb) * gb == pytest.approx(
+            math.log(gb) - np.euler_gamma, rel=1e-5)
+        # the dwell-average form handles singleton dwells fine
         params = ReconfigParams(q=3, m=5, alloc=(2, 2, 1), lam=10.0)
-        with pytest.raises(ValueError):
-            avg_pmd_switching(params, 1e3, method="asymptotic")
-        # quadrature handles singleton dwells fine
-        assert avg_pmd_switching(params, 1e3, method="quadrature") > 0.0
+        assert 0.0 < avg_pmd_switching(params, 1e3) < math.inf
 
-    def test_unknown_method(self):
-        params = ReconfigParams.make(2, 8, 20.0)
-        with pytest.raises(ValueError):
-            avg_pmd_switching(params, 10.0, method="exact")
-
-    @pytest.mark.parametrize("method", ["quadrature", "asymptotic"])
-    def test_beyond_double_range_raises_convergence_error(self, method):
+    def test_beyond_double_range_raises_convergence_error(self):
         # lam^M / M! alone is e^1688 at M = 1000, alpha = 0.05.
         params = ReconfigParams.make(10, 1000, calibrate_lambda(1000, 0.05))
         with pytest.raises(ConvergenceError):
-            avg_pmd_switching(params, AvgSnr.from_db(0.0), method=method)
+            avg_pmd_switching(params, AvgSnr.from_db(0.0))
+
+
+class TestSwitchingAsymptoticConditional:
+    """The asymptote lam^M / Gamma(M+1) prod E[(1 + gamma_j)^{-l_j}]."""
+
+    def test_zero_gamma_leading_term(self):
+        # gamma_bar -> 0 leaves every dwell average at 1
+        params = ReconfigParams(q=3, m=6, alloc=(2, 2, 2), lam=9.0)
+        want = math.exp(6 * math.log(9.0) - ln_gamma(7.0))
+        assert avg_pmd_switching(params, 1e-15) == pytest.approx(want, rel=1e-12)
+
+    def test_product_structure(self):
+        # independent dwells: the (3, 2) average is the product of the
+        # single-dwell ones, up to the 3! 2! / 5! of the lam^M / M! prefactor
+        for gb in (0.5, 10.0, 1e4):
+            both = avg_pmd_switching(ReconfigParams(q=2, m=5, alloc=(3, 2), lam=11.0), gb)
+            a = avg_pmd_switching(ReconfigParams(q=1, m=3, alloc=(3,), lam=11.0), gb)
+            b = avg_pmd_switching(ReconfigParams(q=1, m=2, alloc=(2,), lam=11.0), gb)
+            assert both == pytest.approx(a * b * 6.0 * 2.0 / 120.0, rel=1e-12)
+
+
+class TestSwitchingConditional:
+    def test_monotone_in_each_gamma_and_lambda(self):
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            q = int(rng.integers(1, 5))
+            alloc = tuple(int(a) for a in rng.integers(1, 6, q))
+            lam = float(rng.uniform(1.0, 8.0) * sum(alloc))
+            gb = float(rng.uniform(0.1, 50.0))
+            params = ReconfigParams(q=q, m=sum(alloc), alloc=alloc, lam=lam)
+            base = avg_pmd_switching(params, gb)
+            up = avg_pmd_switching(params, gb + float(rng.uniform(0.01, 1.0)))
+            assert up <= base * (1.0 + 1e-12)
+            wider = avg_pmd_switching(
+                ReconfigParams(q=q, m=sum(alloc), alloc=alloc, lam=lam * 1.25), gb)
+            assert wider >= base * (1.0 - 1e-12)
 
 
 class TestDwellAverage:
@@ -265,24 +181,25 @@ class TestDiversity:
     def test_selection_attaches_harmonic_gain(self):
         g = diversity_reconfig(20, 4, "selection")
         assert g.selection_gain == pytest.approx(harmonic(4))
-        assert g.selection_gain_db == pytest.approx(10 * math.log10(harmonic(4)))
 
 
 class TestSelectionConditional:
+    """The selection miss given the best state, P(M, lam / (2 (1 + gamma_max)))."""
+
     def test_zero_best_state(self):
-        assert pmd_selection_conditional(10, 20.0, 0.0) == pytest.approx(
-            1.0 - pf_single(10, 20.0), abs=1e-12)
+        # all Q states near zero SNR: the miss is 1 - P_F
+        assert avg_pmd_selection(10, 20.0, 1e-9, 3) == pytest.approx(
+            1.0 - pf_single(10, 20.0), abs=1e-7)
 
     def test_complement_identity(self):
-        got = pmd_selection_conditional(10, 20.0, 7.0)
+        got = reg_lower_gamma(10.0, 20.0 / (2.0 * 8.0))
         assert got + pd_single(10, 20.0, 7.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_series_oracle(self):
         # P(3, 1) = 1 - e^-1 (1 + 1 + 1/2)
         want = 1.0 - math.exp(-1.0) * 2.5
         assert want == pytest.approx(0.08030139707139416, rel=1e-12)
-        assert pmd_selection_conditional(3, 6.0, 2.0) == pytest.approx(want,
-                                                                       rel=1e-10)
+        assert 1.0 - pd_single(3, 6.0, 2.0) == pytest.approx(want, rel=1e-10)
 
 
 class TestAvgSelection:
@@ -307,18 +224,12 @@ class TestAvgSelection:
         se = math.sqrt(want * (1 - want) / est.trials)
         assert abs(got - want) <= 3 * se
 
-    def test_dominant_pdf_mode_tracks_exact_at_high_snr(self):
-        lam = calibrate_lambda(10, 0.05)
-        exact = avg_pmd_selection(10, lam, 1e3, 3, pdf_mode="exact")
-        dominant = avg_pmd_selection(10, lam, 1e3, 3, pdf_mode="dominant")
-        assert dominant / exact == pytest.approx(1.0, abs=0.05)
-
     def test_selection_dominates_switching_average(self):
         lam = calibrate_lambda(12, 0.05)
         params = ReconfigParams.make(3, 12, lam)
         for gb in (1.0, 10.0, 100.0, 1e3):
             sel = avg_pmd_selection(12, lam, gb, 3)
-            sw = avg_pmd_switching(params, gb, method="quadrature")
+            sw = avg_pmd_switching(params, gb)
             assert sel <= sw
 
 
@@ -332,8 +243,8 @@ class TestSelectionGain:
         assert db == pytest.approx(4.667, abs=1e-3)  # quoted as "4.7 dB"
 
     def test_large_q_approximation(self):
-        assert selection_gain_large_q(10 ** 6) == pytest.approx(
-            harmonic(10 ** 6), rel=1e-6)
+        assert selection_gain(10 ** 6)[0] == pytest.approx(
+            math.log(10 ** 6) + np.euler_gamma, rel=1e-6)
 
     def test_monte_carlo_ratio(self):
         from specsense.channel import RandomStream, draw_snr
@@ -362,17 +273,27 @@ class TestReducedSamples:
             reduced_samples(5, 10)
 
 
+def selection_1f2_shape(m, q, lam, gb, k1, k2):
+    """k1/gb^Q 1F2(Q; Q+1, -M+Q+1; z) + k2/gb^M 1F2(M; M+1, -M+Q+1; z), z = lam/(2 gb).
+
+    The hypergeometric-series shape of the averaged selection miss; README
+    records why specsense does not use it.
+    """
+    z, b = lam / (2.0 * gb), float(q - m + 1)
+    return (k1 * gb ** -q * hypergeom_1f2(float(q), q + 1.0, b, z)
+            + k2 * gb ** -m * hypergeom_1f2(float(m), m + 1.0, b, z))
+
+
 class TestHypergeomDiagnostic:
     def test_evaluates_when_m_not_above_q(self):
-        val = selection_pmd_hypergeom_diagnostic(3, 5, 20.0, 100.0, k1=1.0, k2=0.5)
-        assert math.isfinite(val)
+        assert math.isfinite(selection_1f2_shape(3, 5, 20.0, 100.0, k1=1.0, k2=0.5))
 
     def test_pole_when_m_exceeds_q(self):
         with pytest.raises(ValueError):
-            selection_pmd_hypergeom_diagnostic(10, 3, 20.0, 100.0, k1=1.0, k2=1.0)
+            selection_1f2_shape(10, 3, 20.0, 100.0, k1=1.0, k2=1.0)
 
     def test_leading_order_matches_min_m_q(self):
         # with M <= Q the gb^-M term dominates: slope M per decade
-        a = selection_pmd_hypergeom_diagnostic(3, 5, 20.0, 1e3, k1=0.0, k2=1.0)
-        b = selection_pmd_hypergeom_diagnostic(3, 5, 20.0, 1e4, k1=0.0, k2=1.0)
+        a = selection_1f2_shape(3, 5, 20.0, 1e3, k1=0.0, k2=1.0)
+        b = selection_1f2_shape(3, 5, 20.0, 1e4, k1=0.0, k2=1.0)
         assert a / b == pytest.approx(10.0 ** 3, rel=0.01)

@@ -45,6 +45,13 @@ class TestSchemeConfig:
         cfg = SchemeConfig.noncoop(10, 20.0, 1.0)
         assert cfg.with_snr(AvgSnr.from_db(10)).avg_snr.gamma_bar == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            SchemeConfig.noncoop(10, 1.0, 1.0, alpha=alpha)
+        with pytest.raises(ValueError):
+            SchemeConfig.coop(3, 1, 8, 1.0, 1.0, alpha=alpha)
+
 
 class TestRunTrial:
     """Single-window decisions, counted through estimate_point."""
@@ -109,7 +116,7 @@ class TestEstimatePoint:
         lam = calibrate_lambda(10, 0.05)
         cfg = SchemeConfig.noncoop(10, lam, AvgSnr.from_db(25.0))  # pmd ~ 2.5e-3
         est = estimate_point(cfg, "H1", 1000, seed=47, min_events=100,
-                             floor_side="absent", max_trials=10 ** 6)
+                             max_trials=10 ** 6)
         misses = est.trials - est.events
         assert misses >= 100
         assert est.trials > 1000
