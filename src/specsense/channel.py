@@ -2,9 +2,11 @@
 
 The received power under Rayleigh fading is exponentially distributed, so an
 "average SNR of gamma_bar" means instantaneous SNR ~ Exp(mean gamma_bar).
-All sampling goes through the inverse-CDF transform of uniform draws from a
-counter-based Philox stream, which makes every draw reproducible from a
-(seed, stream_id) pair regardless of how work is scheduled.
+The best of Q independent such states has the CDF (1 - e^{-x/gamma_bar})^Q,
+so it is drawn from one uniform instead of Q.  All sampling goes through the
+inverse-CDF transform of uniform draws from a counter-based Philox stream,
+which makes every draw reproducible from a (seed, stream_id) pair regardless
+of how work is scheduled.
 """
 
 from __future__ import annotations
@@ -72,5 +74,25 @@ def draw_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
     # run in place, so a block holds one array instead of three.
     np.negative(u, out=u)
     np.log1p(u, out=u)
+    u *= -gamma_bar
+    return u
+
+
+def draw_best_snr(avg, gen: np.random.Generator, size, q: int) -> np.ndarray:
+    """The largest of q Exponential(mean gamma_bar) SNRs, one uniform per draw.
+
+    Inverse CDF of (1 - e^{-x/gamma_bar})^q: x = -gamma_bar log(1 - u^{1/q}),
+    with 1 - u^{1/q} formed as -expm1(log(u) / q) so that it keeps its
+    relative precision as u^{1/q} nears 1.
+    """
+    gamma_bar = AvgSnr.coerce(avg).gamma_bar
+    u = gen.random(size)
+    # u = 0 gives log(u) = -inf and then x = 0, the law's lower end.
+    with np.errstate(divide="ignore"):
+        np.log(u, out=u)
+    u /= q
+    np.expm1(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
     u *= -gamma_bar
     return u

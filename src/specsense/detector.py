@@ -95,11 +95,10 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class GainSummary:
-    """Diversity order and (where quantified) coding / selection gains."""
+    """Diversity order and (where quantified) coding gain."""
 
     diversity: float
     coding_gain: float | None = None
-    selection_gain: float | None = None
 
     def __post_init__(self):
         if self.diversity < 0.0:

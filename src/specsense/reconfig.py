@@ -111,22 +111,18 @@ def avg_pmd_switching(params: ReconfigParams, avg) -> float:
     return math.exp(log_val)
 
 
-def diversity_reconfig(m: int, q: int, csi_mode: str = "switching") -> GainSummary:
+def diversity_reconfig(m: int, q: int) -> GainSummary:
     """Diversity order min{M, Q} of both reconfigurable-antenna schemes.
 
     The switching asymptote does not support a trustworthy coding-gain
-    number, so coding_gain stays unquantified; selection mode attaches the
-    harmonic-number selection gain.
+    number, so coding_gain stays unquantified; the selection gain is
+    ``selection_gain(q)``.
     """
     if int(m) != m or m < 1:
         raise ValueError(f"sample count M must be an integer >= 1, got {m!r}")
     if int(q) != q or q < 1:
         raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    if csi_mode not in ("switching", "selection"):
-        raise ValueError(f"csi_mode must be switching or selection, got {csi_mode!r}")
-    sel = selection_gain(q)[0] if csi_mode == "selection" else None
-    return GainSummary(diversity=float(min(int(m), int(q))),
-                       coding_gain=None, selection_gain=sel)
+    return GainSummary(diversity=float(min(int(m), int(q))))
 
 
 def avg_pmd_selection(m: int, lam: float, avg, q: int) -> float:

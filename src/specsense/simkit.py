@@ -16,6 +16,12 @@ Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
 dimension convention), which is distributionally identical to summing squared
 per-sample draws and two orders of magnitude faster.
+
+A trial draws only what can still change its decision.  Cooperative users
+report one at a time, and a trial stops once its vote is settled; switching
+states add in dwell order, and a trial stops once its sum passes the
+threshold; selection draws the best state's SNR from the max-of-Q law
+(``channel.draw_best_snr``) with one uniform instead of Q fades.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import AvgSnr, RandomStream, draw_snr
+from .channel import AvgSnr, RandomStream, draw_best_snr, draw_snr
 from .detector import DetectorParams, _faded_miss, calibrate_lambda, pf_single
 from .fusion import FusionParams, calibrate_local_lambda_global, global_pf, global_pmd
 from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
@@ -99,12 +105,26 @@ class _Coop(_Noncoop):
     def analytic(self, p, avg) -> tuple[float, float]:
         return global_pf(p), global_pmd(p, avg)
 
+    # Users report one at a time, and only the undecided trials draw the
+    # next report: a trial is present once it has n_vote votes, absent once
+    # its votes plus the users still to report fall short of n_vote.
     def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
         d = p.per_user
-        y = gen.chisquare(2 * d.m, (n, p.n_users))
-        if signal:
-            y *= _one_plus_snr(avg, gen, (n, p.n_users))
-        return (y > d.lam).sum(axis=1) >= p.n_vote
+        present = np.zeros(n, dtype=bool)
+        undecided = np.arange(n)
+        votes = np.zeros(n, dtype=np.int64)
+        for users_left in range(p.n_users - 1, -1, -1):
+            y = gen.chisquare(2 * d.m, undecided.size)
+            if signal:
+                y *= _one_plus_snr(avg, gen, undecided.size)
+            votes += y > d.lam
+            won = votes >= p.n_vote
+            present[undecided[won]] = True
+            still = ~won & (votes + users_left >= p.n_vote)
+            undecided, votes = undecided[still], votes[still]
+            if not undecided.size:
+                break
+        return present
 
 
 class _Switching(_Noncoop):
@@ -127,21 +147,34 @@ class _Switching(_Noncoop):
         pmd = min(1.0, avg_pmd_switching(p, avg))
         return pf_single(p.m, p.lam), pmd
 
+    # Under H1 the states add in dwell order, and only the trials whose sum
+    # is still <= lam draw the next state: every term is >= 0, so a trial
+    # above lam stays above.
     def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
-        if signal:
-            gammas = _one_plus_snr(avg, gen, (n, len(p.alloc)))
-            y = np.zeros(n)
-            for j, dwell in enumerate(p.alloc):
-                energy = gen.chisquare(2 * dwell, n)
-                energy *= gammas[:, j]
-                y += energy
-        else:
-            y = gen.chisquare(2 * sum(p.alloc), n)
-        return y > p.lam
+        if not signal:
+            return gen.chisquare(2 * sum(p.alloc), n) > p.lam
+        present = np.zeros(n, dtype=bool)
+        undecided = np.arange(n)
+        y = np.zeros(n)
+        for dwell in p.alloc:
+            energy = gen.chisquare(2 * dwell, undecided.size)
+            energy *= _one_plus_snr(avg, gen, undecided.size)
+            y += energy
+            above = y > p.lam
+            present[undecided[above]] = True
+            below = ~above
+            undecided, y = undecided[below], y[below]
+            if not undecided.size:
+                break
+        return present
 
 
 class _Selection(_Switching):
-    """One user senses the whole window on the best of Q antenna states."""
+    """One user senses the whole window on the best of Q antenna states.
+
+    Under H1 the best state's SNR is one draw from its own law,
+    (1 - e^{-x/gamma_bar})^Q, not the maximum of Q fades.
+    """
 
     variant, scenario = "reconfig-selection", "selection"
 
@@ -151,7 +184,7 @@ class _Selection(_Switching):
     def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
         y = gen.chisquare(2 * p.m, n)
         if signal:
-            gain = draw_snr(avg, gen, (n, p.q)).max(axis=1)
+            gain = draw_best_snr(avg, gen, n, p.q)
             gain += 1.0
             y *= gain
         return y > p.lam
@@ -268,9 +301,6 @@ class SweepCurve:
         grid = [p.snr_db for p in self.points]
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("SNR grid must be strictly increasing")
-
-    def pmd_values(self) -> np.ndarray:
-        return np.array([p.pmd.value for p in self.points])
 
 
 def _batch_decisions(config: SchemeConfig, hypothesis: str,

@@ -6,12 +6,13 @@ goodness-of-fit against the exact max-state CDF.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from specsense.channel import AvgSnr, RandomStream, draw_snr
+from specsense.channel import AvgSnr, RandomStream, draw_best_snr, draw_snr
 from specsense.reconfig import avg_pmd_selection
 from specsense.specfun import harmonic
 
@@ -150,6 +151,50 @@ class TestMaxStatePdf:
         # 30 cells, edges estimated from the sample: compare against the
         # 0.999 quantile with 29 dof
         assert chi2 < stats.chi2.ppf(0.999, 29)
+
+
+class TestBestStateSampling:
+    """``draw_best_snr`` against the max-of-Q law (1 - e^{-x/gb})^Q."""
+
+    @pytest.mark.parametrize("q", [1, 4, 10])
+    def test_kolmogorov_smirnov(self, q):
+        gbar, n = 2.5, 10 ** 5
+        draws = draw_best_snr(AvgSnr(gbar), RandomStream(seed=16).generator(), n, q)
+
+        def cdf(x):
+            return (-np.expm1(-x / gbar)) ** q
+
+        ks = stats.kstest(draws, cdf).statistic
+        assert ks < 1.63 / math.sqrt(n)  # 1% critical value
+
+    @pytest.mark.parametrize("q", [1, 4, 10])
+    def test_mean_is_harmonic_number(self, q):
+        gbar, n = 2.5, 10 ** 6
+        draws = draw_best_snr(AvgSnr(gbar), RandomStream(seed=17).generator(), n, q)
+        # Var of the max of q exponentials is gb^2 sum_k 1/k^2.
+        se = gbar * math.sqrt(sum(1.0 / k ** 2 for k in range(1, q + 1)) / n)
+        assert abs(draws.mean() - gbar * harmonic(q)) <= 3 * se
+
+    def test_one_state_is_the_single_draw(self):
+        # Same uniforms, two forms of the same inverse CDF.
+        stream = RandomStream(seed=18)
+        best = draw_best_snr(AvgSnr(3.7), stream.generator(), 10 ** 5, 1)
+        single = draw_snr(AvgSnr(3.7), stream.generator(), 10 ** 5)
+        assert np.allclose(best, single, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("q", [1, 4, 10])
+    def test_both_ends_of_the_uniform_range(self, q):
+        class EndsOfRange:
+            def random(self, size):
+                return np.array([0.0, 1.0 - 2.0 ** -53])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                low, high = draw_best_snr(AvgSnr(2.0), EndsOfRange(), 2, q)
+        assert low == 0.0
+        # 1 - u^{1/q} ~ 2^-53 / q at the top of the range
+        assert high == pytest.approx(2.0 * (53 * math.log(2.0) + math.log(q)), rel=1e-9)
 
 
 class TestSelectionGainLink:

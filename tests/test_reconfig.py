@@ -175,12 +175,7 @@ class TestDiversity:
         assert diversity_reconfig(5, 10).diversity == 5.0
 
     def test_switching_leaves_coding_gain_unquantified(self):
-        g = diversity_reconfig(20, 4, "switching")
-        assert g.coding_gain is None and g.selection_gain is None
-
-    def test_selection_attaches_harmonic_gain(self):
-        g = diversity_reconfig(20, 4, "selection")
-        assert g.selection_gain == pytest.approx(harmonic(4))
+        assert diversity_reconfig(20, 4).coding_gain is None
 
 
 class TestSelectionConditional:

@@ -11,11 +11,12 @@ import threading
 import warnings
 
 import pytest
+from scipy import stats
 
 from specsense import simkit
-from specsense.channel import AvgSnr
+from specsense.channel import AvgSnr, RandomStream, draw_snr
 from specsense.detector import calibrate_lambda, pf_single
-from specsense.fusion import global_pmd
+from specsense.fusion import global_pf, global_pmd
 from specsense.simkit import (
     McEstimate,
     SchemeConfig,
@@ -171,7 +172,7 @@ class TestSweep:
     def test_monotone_and_constant_false_alarm(self):
         cfg = SchemeConfig.noncoop(10, 1.0, 1.0, alpha=0.05)
         curve = sweep(cfg, [-5.0, 0.0, 5.0, 10.0], 20_000, seed=55)
-        pmds = curve.pmd_values()
+        pmds = [p.pmd.value for p in curve.points]
         for a, b in zip(pmds, pmds[1:]):
             assert b <= a + 2 * 0.011  # CI noise allowance at 2e4 trials
         pfs = {p.pf.value for p in curve.points}
@@ -259,15 +260,99 @@ class TestSlopeFit:
         assert slope == pytest.approx(1.0, abs=0.1)
 
 
+#: Per-check level of the law tests below: 15 checks, so a correct sampler
+#: fails one of them with probability under 2e-3.
+LAW_LEVEL = 1e-4
+LAW_TRIALS = 200_000
+
+
+def _full_draw_switching(params, avg, gen, n):
+    """The switching H1 decision with every state drawn for every trial."""
+    gains = 1.0 + draw_snr(avg, gen, (n, len(params.alloc)))
+    y = sum(gen.chisquare(2 * dwell, n) * gains[:, j]
+            for j, dwell in enumerate(params.alloc))
+    return y > params.lam
+
+
+class TestDrawOnlyWhatDecides:
+    """The short-circuit samplers keep the law of the full-draw decision."""
+
+    @pytest.mark.parametrize("n_users, n_vote", [(10, 1), (5, 3), (4, 4)])
+    def test_coop_false_alarm_is_the_global_level(self, n_users, n_vote):
+        cfg = SchemeConfig.coop(n_users, n_vote, 8, 1.0, 1.0, alpha=0.05)
+        est = estimate_point(cfg, "H0", LAW_TRIALS, seed=60, stream_id=n_users)
+        want = global_pf(cfg.payload)
+        assert stats.binomtest(est.events, LAW_TRIALS, want).pvalue > LAW_LEVEL
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
+    @pytest.mark.parametrize("n_users, n_vote", [(10, 1), (5, 3), (4, 4)])
+    def test_coop_detection_is_one_minus_the_global_miss(self, n_users, n_vote, snr_db):
+        cfg = SchemeConfig.coop(n_users, n_vote, 8, 1.0, AvgSnr.from_db(snr_db),
+                                alpha=0.05)
+        est = estimate_point(cfg, "H1", LAW_TRIALS, seed=61,
+                             stream_id=10 * n_users + int(snr_db) + 10)
+        want = 1.0 - global_pmd(cfg.payload, cfg.avg_snr)
+        assert stats.binomtest(est.events, LAW_TRIALS, want).pvalue > LAW_LEVEL
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
+    def test_switching_unequal_dwells_matches_full_draws(self, snr_db):
+        cfg = SchemeConfig.switching(3, 20, calibrate_lambda(20, 0.05),
+                                     AvgSnr.from_db(snr_db))
+        assert cfg.payload.alloc == (7, 7, 6)
+        est = estimate_point(cfg, "H1", LAW_TRIALS, seed=62, stream_id=1)
+        gen = RandomStream(seed=63).generator()
+        ref = int(_full_draw_switching(cfg.payload, cfg.avg_snr, gen, LAW_TRIALS).sum())
+        # Two-sample binomial z-test on the pooled rate.
+        pooled = (est.events + ref) / (2 * LAW_TRIALS)
+        se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / LAW_TRIALS)
+        z = stats.norm.isf(LAW_LEVEL / 2.0)
+        assert abs(est.events - ref) / LAW_TRIALS <= z * se
+
+
+def _fades_per_trial(monkeypatch, config, hypothesis):
+    """Fades drawn per trial by one full block of ``config``."""
+    drawn = []
+
+    def spy(avg, gen, size):
+        out = draw_snr(avg, gen, size)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(simkit, "draw_snr", spy)
+    estimate_point(config, hypothesis, simkit._BLOCK, seed=64)
+    return sum(drawn) / simkit._BLOCK, len(drawn)
+
+
+class TestDrawCounts:
+    """At 20 dB the first user or state decides almost every trial."""
+
+    def test_coop_stops_at_the_deciding_user(self, monkeypatch):
+        cfg = SchemeConfig.coop(10, 1, 10, 1.0, AvgSnr.from_db(20.0), alpha=0.05)
+        per_trial, _ = _fades_per_trial(monkeypatch, cfg, "H1")
+        assert per_trial < 2.0
+
+    def test_switching_stops_at_the_deciding_state(self, monkeypatch):
+        cfg = SchemeConfig.switching(10, 100, calibrate_lambda(100, 0.05),
+                                     AvgSnr.from_db(20.0))
+        per_trial, _ = _fades_per_trial(monkeypatch, cfg, "H1")
+        assert per_trial < 2.0
+
+    def test_selection_draws_no_per_state_fades(self, monkeypatch):
+        cfg = SchemeConfig.selection(10, 100, calibrate_lambda(100, 0.05),
+                                     AvgSnr.from_db(20.0))
+        _, calls = _fades_per_trial(monkeypatch, cfg, "H1")
+        assert calls == 0
+
+
 # Exact hit counts at 200 000 = 3 * 65536 + 3392 trials (three complete blocks
 # and a partial one), seed 2024, stream 3, 5 dB.  Any change to the draws, their
 # order or their arithmetic moves these integers.
 GOLDEN_TRIALS = 200_000
 GOLDEN_HITS = {
     ("noncoop", "H0"): 14033, ("noncoop", "H1"): 163924,
-    ("coop", "H0"): 8502, ("coop", "H1"): 195308,
-    ("switching", "H0"): 11547, ("switching", "H1"): 197586,
-    ("selection", "H0"): 11547, ("selection", "H1"): 199696,
+    ("coop", "H0"): 8570, ("coop", "H1"): 195332,
+    ("switching", "H0"): 11547, ("switching", "H1"): 197564,
+    ("selection", "H0"): 11547, ("selection", "H1"): 199675,
 }
 
 
