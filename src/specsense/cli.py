@@ -8,7 +8,10 @@ sweep       run one scenario's SNR sweep to CSV
 slope       fit the high-SNR diversity slope of a scenario and compare with
             the analytic order
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+The ``--out/--seed/--trials/--mode`` flags replace scenario keys and pass the
+same ``ScenarioFile`` validation.  Exit codes: 0 success, 2 configuration
+error (a bad key, value or flag, an unreadable scenario, an unwritable
+output), 3 numerical failure.
 
 Scenario files are flat ``key = value`` text with a mandatory ``schema = 1``
 line; see the README for the full key list.  CSV columns are
@@ -22,7 +25,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +42,7 @@ CSV_HEADER = ("scheme", "snr_db", "pf_analytic", "pmd_analytic",
               "pf_mc", "pf_ci", "pmd_mc", "pmd_ci", "trials", "seed")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioFile:
     """Parsed flat key-value scenario description."""
 
@@ -70,6 +73,9 @@ class ScenarioFile:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        for name in ("snr_start_db", "snr_stop_db", "snr_step_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.snr_step_db <= 0.0:
             raise ValueError("snr_step_db must be > 0")
         if self.snr_stop_db < self.snr_start_db:
@@ -83,10 +89,9 @@ class ScenarioFile:
         return [self.snr_start_db + i * self.snr_step_db for i in range(n + 1)]
 
 
-_INT_KEYS = {"schema", "n_users", "n_vote", "m", "q", "trials", "seed"}
-_FLOAT_KEYS = {"alpha", "snr_start_db", "snr_stop_db", "snr_step_db",
-               "window_lo_db", "window_hi_db"}
-_STR_KEYS = {"scheme", "mode", "out"}
+# A key's value is read by its field's annotation: int, float or str (or None).
+_KEY_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type.split(" | ")[0]]
+              for f in fields(ScenarioFile)}
 
 
 def parse_scenario(path: str) -> ScenarioFile:
@@ -100,14 +105,9 @@ def parse_scenario(path: str) -> ScenarioFile:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
+            if key not in _KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
+            values[key] = _KEY_TYPES[key](val)
     if "schema" not in values:
         raise ValueError(f"{path}: missing mandatory 'schema' key")
     return ScenarioFile(**values)
@@ -157,22 +157,16 @@ def figure_setups(which: str, alpha: float | None = None):
                                         m=root, alpha=a)))
         return setups
     a = 0.05 if alpha is None else alpha
-    if which == "fig2":
-        return [
-            ("noncoop", ScenarioFile(scheme="noncoop", m=100, alpha=a)),
+    fig2 = [("noncoop", ScenarioFile(scheme="noncoop", m=100, alpha=a)),
             ("coop", ScenarioFile(scheme="coop", n_users=10, n_vote=1, m=10, alpha=a)),
             ("switching", ScenarioFile(scheme="switching", q=10, m=100, alpha=a)),
-            ("selection", ScenarioFile(scheme="selection", q=10, m=100, alpha=a)),
-        ]
-    if which == "fig3":
-        m_reduced = reduced_samples(100, 10)  # 35 by the implemented rule
-        return [
-            ("noncoop", ScenarioFile(scheme="noncoop", m=100, alpha=a)),
-            ("coop", ScenarioFile(scheme="coop", n_users=10, n_vote=1, m=10, alpha=a)),
-            (f"selection-m{m_reduced}",
-             ScenarioFile(scheme="selection", q=10, m=m_reduced, alpha=a)),
-            ("selection-m33", ScenarioFile(scheme="selection", q=10, m=33, alpha=a)),
-        ]
+            ("selection", ScenarioFile(scheme="selection", q=10, m=100, alpha=a))]
+    if which == "fig2":
+        return fig2
+    if which == "fig3":  # the fig2 benchmarks; M' = 35 by the implemented rule
+        return fig2[:2] + [(f"selection-m{m}",
+                            ScenarioFile(scheme="selection", q=10, m=m, alpha=a))
+                           for m in (reduced_samples(100, 10), 33)]
     raise ValueError(f"unknown figure {which!r}; expected fig1, fig2 or fig3")
 
 
@@ -182,13 +176,6 @@ def _fmt(x) -> str:
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".10g")
-
-
-def _write_rows(out, rows) -> None:
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(rows)
 
 
 def _curve_rows(label: str, sc: ScenarioFile, seed: int):
@@ -240,26 +227,30 @@ def cmd_calibrate(sc: ScenarioFile) -> int:
     return 0
 
 
-def cmd_sweep(sc: ScenarioFile, label: str | None = None) -> int:
-    out = sc.out or "sweep.csv"
-    _write_rows(out, _curve_rows(label or sc.scheme, sc, sc.seed))
+def _write_csv(out: str, curves) -> int:
+    """Write each (label, scenario, seed) curve's rows to ``out`` as one CSV.
+
+    Every row is computed before the file is opened, so a failure leaves no
+    partial CSV.
+    """
+    rows = [row for label, sc, seed in curves for row in _curve_rows(label, sc, seed)]
+    with open(out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
     print(f"wrote {out}")
     return 0
+
+
+def cmd_sweep(sc: ScenarioFile) -> int:
+    return _write_csv(sc.out or "sweep.csv", [(sc.scheme, sc, sc.seed)])
 
 
 def cmd_figure(which: str, sc: ScenarioFile, alpha: float | None = None) -> int:
-    rows = []
-    for offset, (label, template) in enumerate(figure_setups(which, alpha)):
-        template.snr_start_db = sc.snr_start_db
-        template.snr_stop_db = sc.snr_stop_db
-        template.snr_step_db = sc.snr_step_db
-        template.trials = sc.trials
-        template.mode = sc.mode
-        rows.extend(_curve_rows(label, template, sc.seed + offset))
-    out = sc.out or f"{which}.csv"
-    _write_rows(out, rows)
-    print(f"wrote {out}")
-    return 0
+    grid = {k: getattr(sc, k) for k in ("snr_start_db", "snr_stop_db", "snr_step_db")}
+    curves = [(label, replace(template, **grid, trials=sc.trials, mode=sc.mode), sc.seed + i)
+              for i, (label, template) in enumerate(figure_setups(which, alpha))]
+    return _write_csv(sc.out or f"{which}.csv", curves)
 
 
 def cmd_slope(sc: ScenarioFile) -> int:
@@ -297,27 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario_given = bool(args.scenario)
-        if scenario_given:
+        if args.scenario:
             sc = parse_scenario(args.scenario)
-        else:
-            if args.command != "figure":
-                print("error: --scenario is required", file=sys.stderr)
-                return 2
+        elif args.command == "figure":
             sc = ScenarioFile()
-        if args.out:
-            sc.out = args.out
-        if args.seed is not None:
-            sc.seed = args.seed
-        if args.trials is not None:
-            sc.trials = args.trials
-        if args.mode is not None:
-            sc.mode = args.mode
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
+        else:
+            raise ValueError("--scenario is required")
+        flags = {k: getattr(args, k) for k in ("out", "seed", "trials", "mode")}
+        sc = replace(sc, **{k: v for k, v in flags.items() if v is not None})
         if args.command == "calibrate":
             return cmd_calibrate(sc)
         if args.command == "sweep":
@@ -325,10 +303,9 @@ def main(argv=None) -> int:
         if args.command == "figure":
             # A scenario file pins alpha; otherwise each figure keeps its
             # canonical level (0.01 for fig1, 0.05 for fig2/fig3).
-            return cmd_figure(args.which, sc,
-                              alpha=sc.alpha if scenario_given else None)
+            return cmd_figure(args.which, sc, alpha=sc.alpha if args.scenario else None)
         return cmd_slope(sc)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, FloatingPointError, OverflowError,

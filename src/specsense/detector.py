@@ -22,6 +22,7 @@ import numpy as np
 from .channel import AvgSnr
 from .specfun import (
     ConvergenceError,
+    _count,
     inv_reg_upper_gamma,
     ln_bessel_k_int,
     ln_gamma,
@@ -87,8 +88,7 @@ class DetectorParams:
     lam: float
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"sample count M must be an integer >= 1, got {self.m!r}")
+        _count(self.m, "sample count M")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"threshold must be finite and > 0, got {self.lam!r}")
 
@@ -129,9 +129,7 @@ def pd_single(m: int, lam: float, gamma: float) -> float:
 
 def calibrate_lambda(m: int, alpha: float) -> float:
     """Threshold lambda with P_F = alpha (alpha-level NP test)."""
-    if int(m) != m or m < 1:
-        raise ValueError(f"sample count M must be an integer >= 1, got {m!r}")
-    return 2.0 * inv_reg_upper_gamma(float(m), alpha)
+    return 2.0 * inv_reg_upper_gamma(float(_count(m, "sample count M")), alpha)
 
 
 def avg_pd_numeric(m: int, lam: float, avg) -> float:

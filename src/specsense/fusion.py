@@ -16,7 +16,7 @@ from scipy import special as _sp
 
 from .channel import AvgSnr
 from .detector import DetectorParams, GainSummary, _faded_miss, calibrate_lambda, pf_single
-from .specfun import ConvergenceError, inv_reg_upper_gamma, log_binom
+from .specfun import ConvergenceError, _count, inv_reg_upper_gamma, log_binom
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,7 @@ class FusionParams:
     per_user: DetectorParams
 
     def __post_init__(self):
-        if int(self.n_users) != self.n_users or self.n_users < 1:
-            raise ValueError(f"user count N must be an integer >= 1, got {self.n_users!r}")
-        if int(self.n_vote) != self.n_vote or not 1 <= self.n_vote <= self.n_users:
+        if _count(self.n_vote, "vote threshold n") > _count(self.n_users, "user count N"):
             raise ValueError(
                 f"vote threshold n must be an integer in [1, N], got {self.n_vote!r}")
 

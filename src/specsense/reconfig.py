@@ -17,7 +17,7 @@ from scipy import special as _sp
 
 from .channel import AvgSnr
 from .detector import DetectorParams, GainSummary, _faded_miss
-from .specfun import ConvergenceError, harmonic, ln_gamma
+from .specfun import ConvergenceError, _count, harmonic, ln_gamma
 
 # Beyond z = 600, E_l(z) nears the smallest double and a continued fraction
 # gives e^z E_l(z); math.exp overflows past 709.78.
@@ -32,11 +32,7 @@ def allocate_samples(m: int, q: int) -> tuple[int, ...]:
     maximizes prod(l_j - 1), the figure of merit of the averaged switching
     asymptote.  With M < Q only M states can be visited: M singleton dwells.
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"sample count M must be an integer >= 1, got {m!r}")
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    m, q = int(m), int(q)
+    m, q = _count(m, "sample count M"), _count(q, "state count Q")
     if m < q:
         return (1,) * m
     base, extra = divmod(m, q)
@@ -53,17 +49,12 @@ class ReconfigParams:
     lam: float
 
     def __post_init__(self):
-        if int(self.q) != self.q or self.q < 1:
-            raise ValueError(f"state count Q must be an integer >= 1, got {self.q!r}")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError(f"sample count M must be an integer >= 1, got {self.m!r}")
+        q, m = _count(self.q, "state count Q"), _count(self.m, "sample count M")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"threshold must be finite and > 0, got {self.lam!r}")
-        if any(int(l) != l or l < 1 for l in self.alloc):
-            raise ValueError(f"dwell lengths must be positive integers, got {self.alloc!r}")
-        if sum(self.alloc) > self.m:
-            raise ValueError(
-                f"allocation {self.alloc!r} exceeds the sample budget M={self.m}")
+        if sum(_count(l, "dwell length") for l in self.alloc) != m or len(self.alloc) > q:
+            raise ValueError(f"allocation {self.alloc!r} must split M={m} samples "
+                             f"over at most Q={q} states")
 
     @classmethod
     def make(cls, q: int, m: int, lam: float) -> "ReconfigParams":
@@ -118,11 +109,8 @@ def diversity_reconfig(m: int, q: int) -> GainSummary:
     number, so coding_gain stays unquantified; the selection gain is
     ``selection_gain(q)``.
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"sample count M must be an integer >= 1, got {m!r}")
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    return GainSummary(diversity=float(min(int(m), int(q))))
+    return GainSummary(diversity=float(min(_count(m, "sample count M"),
+                                           _count(q, "state count Q"))))
 
 
 def avg_pmd_selection(m: int, lam: float, avg, q: int) -> float:
@@ -132,16 +120,13 @@ def avg_pmd_selection(m: int, lam: float, avg, q: int) -> float:
     ``detector._faded_miss``.
     """
     params = DetectorParams(m=m, lam=lam)
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    return _faded_miss(params.m, params.lam, AvgSnr.coerce(avg).gamma_bar, int(q))
+    q = _count(q, "state count Q")
+    return _faded_miss(params.m, params.lam, AvgSnr.coerce(avg).gamma_bar, q)
 
 
 def selection_gain(q: int) -> tuple[float, float]:
     """Selection gain E[gamma_max]/E[gamma] = H_Q, as (linear, dB)."""
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    h = harmonic(int(q))
+    h = harmonic(_count(q, "state count Q"))
     return h, 10.0 * math.log10(h)
 
 
@@ -151,8 +136,6 @@ def reduced_samples(m: int, q: int) -> int:
     Trades the selection gain for a shorter sensing period at matched
     switching-scheme performance, never dropping below one sample per state.
     """
-    if int(q) != q or q < 1:
-        raise ValueError(f"state count Q must be an integer >= 1, got {q!r}")
-    if int(m) != m or m < q:
-        raise ValueError(f"sample count M must be an integer >= Q, got {m!r}")
-    return max(math.ceil(int(m) / harmonic(int(q))), int(q))
+    q = _count(q, "state count Q")
+    m = _count(m, "sample count M", q)
+    return max(math.ceil(m / harmonic(q)), q)

@@ -2,7 +2,7 @@
 
 Each sensing scheme is described once, by one object in ``SCHEMES``: its
 scenario and variant names, payload type, threshold from alpha, analytic
-(pf, pmd) columns, per-block decisions, diversity order and sample count.
+(pf, pmd) columns, per-block decisions and diversity order.
 
 Trials are vectorized in fixed-size blocks of 65536; block b of a point draws
 from the Philox substream (seed, stream_id, b), so an estimate is bit-exact
@@ -64,9 +64,6 @@ class _Noncoop:
     def threshold(self, p, alpha: float):
         return replace(p, lam=calibrate_lambda(p.m, alpha))
 
-    def total_samples(self, p) -> int:
-        return p.m
-
     def diversity(self, p) -> float:
         return 1.0
 
@@ -95,9 +92,6 @@ class _Coop(_Noncoop):
     def threshold(self, p, alpha: float):
         lam = calibrate_local_lambda_global(p.n_users, p.n_vote, p.per_user.m, alpha)
         return replace(p, per_user=replace(p.per_user, lam=lam))
-
-    def total_samples(self, p) -> int:
-        return p.n_users * p.per_user.m
 
     def diversity(self, p) -> float:
         return float(p.n_users - p.n_vote + 1)
@@ -219,11 +213,6 @@ class SchemeConfig:
     @property
     def scheme(self) -> _Noncoop:
         return SCHEMES[self.variant]
-
-    @property
-    def total_samples(self) -> int:
-        """Total sensed samples: N*M for the cooperative network, M otherwise."""
-        return self.scheme.total_samples(self.payload)
 
     def with_snr(self, avg) -> "SchemeConfig":
         return replace(self, avg_snr=AvgSnr.coerce(avg))

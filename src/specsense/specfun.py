@@ -38,6 +38,16 @@ def _finite(x: float, name: str) -> float:
     return x
 
 
+def _count(x, name: str, least: int = 1) -> int:
+    """x as an int; ValueError, also for inf and nan, unless x is an integer >= least."""
+    try:
+        ok = int(x) == x and x >= least
+    except (OverflowError, ValueError):  # int() of an infinity or a nan
+        ok = False
+    _require(ok, f"{name} must be an integer >= {least}, got {x!r}")
+    return int(x)
+
+
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     x = _finite(x, "x")
@@ -79,10 +89,7 @@ def ln_bessel_k_int(order: int, x: float) -> float:
     exponentially scaled k0e/k1e and renormalizes on the fly, so the result is
     finite even where K_M itself overflows (large M, small x).
     """
-    _require(isinstance(order, int) or float(order).is_integer(),
-             f"order must be an integer, got {order!r}")
-    order = int(order)
-    _require(order >= 0, f"order must be >= 0, got {order}")
+    order = _count(order, "order", 0)
     x = _finite(x, "x")
     _require(x > 0.0, f"ln_bessel_k_int requires x > 0, got {x}")
 
@@ -133,17 +140,14 @@ def harmonic(q: int) -> float:
     Sequential summation makes harmonic(Q) - harmonic(Q-1) == 1/Q exact
     in floating point, which downstream identities rely on.
     """
-    _require(int(q) == q and q >= 1, f"harmonic requires integer Q >= 1, got {q!r}")
     total = 0.0
-    for k in range(1, int(q) + 1):
+    for k in range(1, _count(q, "harmonic Q") + 1):
         total += 1.0 / k
     return total
 
 
 def log_binom(n: int, k: int) -> float:
     """ln C(n, k) via ln_gamma, for integers 0 <= k <= n."""
-    _require(int(n) == n and n >= 0, f"log_binom requires integer N >= 0, got {n!r}")
-    _require(int(k) == k and k >= 0, f"log_binom requires integer k >= 0, got {k!r}")
+    n, k = _count(n, "log_binom N", 0), _count(k, "log_binom k", 0)
     _require(k <= n, f"log_binom requires k <= N, got k={k}, N={n}")
-    n, k = int(n), int(k)
     return ln_gamma(n + 1.0) - ln_gamma(k + 1.0) - ln_gamma(n - k + 1.0)

@@ -1,6 +1,7 @@
 """Experiment-runner tests: scenario parsing, CSV output, exit codes."""
 
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -68,6 +69,21 @@ class TestScenarioParsing:
             ScenarioFile(snr_step_db=0.0)
         with pytest.raises(ValueError):
             ScenarioFile(trials=10)
+        with pytest.raises(ValueError):
+            ScenarioFile(snr_stop_db=math.inf)
+        with pytest.raises(ValueError):
+            ScenarioFile(snr_step_db=math.nan)
+
+    def test_scenario_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ScenarioFile().trials = 10
+
+    def test_readme_lists_exactly_the_scenario_keys(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        block = text.split("Scenario files are flat", 1)[1].split("```")[1]
+        keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+        assert keys == [f.name for f in dataclasses.fields(ScenarioFile)]
 
 
 class TestExitCodes:
@@ -82,6 +98,22 @@ class TestExitCodes:
     def test_missing_file_is_config_error(self, capsys):
         assert main(["calibrate", "--scenario", "/nonexistent/path.txt"]) == 2
 
+    # Flags pass the scenario's own validation, and writing the CSV is inside
+    # the same error map as parsing.
+    @pytest.mark.parametrize("flags, keys", [
+        (["--out", "{tmp}/missing/o.csv"], {}),
+        (["--trials", "10", "--mode", "analytic"], {}),
+        ([], {"snr_stop_db": "inf"}),
+    ], ids=["unwritable-out", "trials-flag-below-floor", "infinite-grid-bound"])
+    def test_bad_flag_or_value_is_config_error(self, tmp_path, capsys, flags, keys):
+        path = write_scenario(tmp_path / "s.txt", **keys)
+        out = tmp_path / "o.csv"
+        argv = ["sweep", "--scenario", path, "--out", str(out)]
+        assert main(argv + [f.format(tmp=tmp_path) for f in flags]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         from specsense import cli
         from specsense.specfun import ConvergenceError
@@ -95,7 +127,8 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_switching_overflow_exits_three(self, tmp_path, capsys):
-        # avg_pmd_switching overflows math.exp for M = 1000.
+        # For M = 1000 the switching asymptote leaves the double range, and
+        # avg_pmd_switching raises ConvergenceError.
         path = write_scenario(tmp_path / "s.txt", scheme="switching", m=1000,
                               q=10, mode="analytic")
         assert main(["sweep", "--scenario", path,

@@ -59,6 +59,15 @@ class TestAllocation:
             assert sum(alloc) == m
             assert set(alloc) <= {base, base + 1}
 
+    # The analytic P_F counts M samples and the H0 draw counts sum(alloc), so
+    # the two must agree: with (2, 2) under M = 10 the analytic P_F would read
+    # 0.05 and the Monte Carlo H0 estimate about 1e-4.
+    @pytest.mark.parametrize("q, alloc", [(2, (2, 2)), (2, (5, 6)), (1, (5, 5))],
+                             ids=["short", "over", "more-dwells-than-states"])
+    def test_allocation_must_split_the_budget(self, q, alloc):
+        with pytest.raises(ValueError):
+            ReconfigParams(q=q, m=10, alloc=alloc, lam=calibrate_lambda(10, 0.05))
+
 
 class TestAvgSwitching:
     def test_asymptotic_slope_is_exactly_q(self):

@@ -38,10 +38,6 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig("coop", DetectorParams(m=5, lam=2.0), AvgSnr(1.0))
 
-    def test_total_samples(self):
-        assert SchemeConfig.coop(10, 1, 10, 30.0, 1.0).total_samples == 100
-        assert SchemeConfig.switching(10, 100, 200.0, 1.0).total_samples == 100
-
     def test_with_snr(self):
         cfg = SchemeConfig.noncoop(10, 20.0, 1.0)
         assert cfg.with_snr(AvgSnr.from_db(10)).avg_snr.gamma_bar == pytest.approx(10.0)

@@ -15,6 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
+from specsense.detector import DetectorParams, calibrate_lambda
+from specsense.fusion import FusionParams
+from specsense.reconfig import (
+    ReconfigParams,
+    allocate_samples,
+    avg_pmd_selection,
+    diversity_reconfig,
+    reduced_samples,
+    selection_gain,
+)
 from specsense.specfun import (
     ConvergenceError,
     harmonic,
@@ -332,3 +342,37 @@ class TestLogBinom:
             log_binom(5, 6)
         with pytest.raises(ValueError):
             log_binom(-1, 0)
+
+
+_USER = DetectorParams(m=2, lam=1.0)
+
+# Each argument that counts something (samples, users, votes, states, dwells).
+# The ones counted from 0 are shifted down one so that 0 maps to -1.
+COUNT_SITES = {
+    "DetectorParams.m": lambda x: DetectorParams(m=x, lam=1.0),
+    "calibrate_lambda.m": lambda x: calibrate_lambda(x, 0.05),
+    "FusionParams.n_users": lambda x: FusionParams(n_users=x, n_vote=1, per_user=_USER),
+    "FusionParams.n_vote": lambda x: FusionParams(n_users=3, n_vote=x, per_user=_USER),
+    "allocate_samples.m": lambda x: allocate_samples(x, 2),
+    "allocate_samples.q": lambda x: allocate_samples(4, x),
+    "ReconfigParams.q": lambda x: ReconfigParams(q=x, m=2, alloc=(1, 1), lam=1.0),
+    "ReconfigParams.m": lambda x: ReconfigParams(q=2, m=x, alloc=(1, 1), lam=1.0),
+    "ReconfigParams.alloc": lambda x: ReconfigParams(q=2, m=2, alloc=(1, x), lam=1.0),
+    "diversity_reconfig.m": lambda x: diversity_reconfig(x, 2),
+    "diversity_reconfig.q": lambda x: diversity_reconfig(2, x),
+    "avg_pmd_selection.q": lambda x: avg_pmd_selection(2, 1.0, 1.0, x),
+    "selection_gain.q": lambda x: selection_gain(x),
+    "reduced_samples.m": lambda x: reduced_samples(x, 2),
+    "reduced_samples.q": lambda x: reduced_samples(4, x),
+    "harmonic.q": lambda x: harmonic(x),
+    "log_binom.n": lambda x: log_binom(x - 1, 0),
+    "log_binom.k": lambda x: log_binom(5, x - 1),
+    "ln_bessel_k_int.order": lambda x: ln_bessel_k_int(x - 1, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 1.5, 0])
+@pytest.mark.parametrize("site", sorted(COUNT_SITES))
+def test_count_arguments_reject_non_counts_with_value_error(site, bad):
+    with pytest.raises(ValueError):
+        COUNT_SITES[site](bad)
