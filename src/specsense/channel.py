@@ -28,10 +28,6 @@ class AvgSnr:
         if not (math.isfinite(self.gamma_bar) and self.gamma_bar > 0.0):
             raise ValueError(f"average SNR must be finite and > 0, got {self.gamma_bar!r}")
 
-    @property
-    def db(self) -> float:
-        return 10.0 * math.log10(self.gamma_bar)
-
     @classmethod
     def from_db(cls, snr_db: float) -> "AvgSnr":
         return cls(10.0 ** (snr_db / 10.0))

@@ -33,11 +33,12 @@ from .channel import AvgSnr
 from .detector import pf_single
 from .fusion import global_pf
 from .reconfig import reduced_samples
-from .simkit import (SCENARIO_SCHEMES, SchemeConfig, estimate_point,
-                     fit_diversity_slope, sweep)
+from .simkit import (_MIN_EVENTS, _Z99, SCENARIO_SCHEMES, SchemeConfig,
+                     estimate_point, fit_diversity_slope, sweep)
 from .specfun import ConvergenceError
 
 _MODES = ("analytic", "mc", "both")
+_MAX_GRID_POINTS = 10 ** 5
 CSV_HEADER = ("scheme", "snr_db", "pf_analytic", "pmd_analytic",
               "pf_mc", "pf_ci", "pmd_mc", "pmd_ci", "trials", "seed")
 
@@ -80,13 +81,20 @@ class ScenarioFile:
             raise ValueError("snr_step_db must be > 0")
         if self.snr_stop_db < self.snr_start_db:
             raise ValueError("snr_stop_db must be >= snr_start_db")
+        if self._grid_steps() >= _MAX_GRID_POINTS:  # counted before any point is made
+            raise ValueError(f"the SNR grid must have at most {_MAX_GRID_POINTS} points")
         if self.trials < 1000:
             raise ValueError("trials must be >= 1000")
 
+    def _grid_steps(self) -> float:
+        # The floor of this is the last grid index; the 1e-9 keeps a stop that
+        # is a whole number of steps away when the division lands just below.
+        return (self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9
+
     @property
     def snr_grid_db(self) -> list[float]:
-        n = int(round((self.snr_stop_db - self.snr_start_db) / self.snr_step_db))
-        return [self.snr_start_db + i * self.snr_step_db for i in range(n + 1)]
+        return [self.snr_start_db + i * self.snr_step_db
+                for i in range(math.floor(self._grid_steps()) + 1)]
 
 
 # A key's value is read by its field's annotation: int, float or str (or None).
@@ -107,17 +115,19 @@ def parse_scenario(path: str) -> ScenarioFile:
             key, val = key.strip(), val.strip()
             if key not in _KEY_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown scenario key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated scenario key {key!r}")
             values[key] = _KEY_TYPES[key](val)
     if "schema" not in values:
         raise ValueError(f"{path}: missing mandatory 'schema' key")
     return ScenarioFile(**values)
 
 
-def build_config(sc: ScenarioFile, snr_db: float = 0.0) -> SchemeConfig:
-    """Calibrated SchemeConfig for a scenario (threshold set from alpha)."""
+def build_config(sc: ScenarioFile) -> SchemeConfig:
+    """Calibrated SchemeConfig for a scenario (threshold set from alpha), at 0 dB."""
     scheme = SCENARIO_SCHEMES[sc.scheme]
     return SchemeConfig(scheme.variant, scheme.payload(sc),
-                        AvgSnr.from_db(snr_db)).with_alpha(sc.alpha)
+                        AvgSnr(1.0)).with_alpha(sc.alpha)
 
 
 def analytic_columns(config: SchemeConfig, snr_db: float) -> tuple[float, float]:
@@ -219,7 +229,7 @@ def cmd_calibrate(sc: ScenarioFile) -> int:
     smoke = estimate_point(config, "H0", 10 ** 5, sc.seed)
     print(f"empirical_pf={smoke.value:.6f} ci99={smoke.ci_halfwidth:.6f} "
           f"trials={smoke.trials}")
-    if abs(smoke.value - sc.alpha) > smoke.ci_halfwidth + 2.576 * math.sqrt(
+    if abs(smoke.value - sc.alpha) > smoke.ci_halfwidth + _Z99 * math.sqrt(
             sc.alpha * (1 - sc.alpha) / smoke.trials):
         print("calibration smoke check FAILED", file=sys.stderr)
         return 3
@@ -255,8 +265,7 @@ def cmd_figure(which: str, sc: ScenarioFile, alpha: float | None = None) -> int:
 
 def cmd_slope(sc: ScenarioFile) -> int:
     config = build_config(sc)
-    curve = sweep(config, sc.snr_grid_db, sc.trials, sc.seed,
-                  min_events=100, max_trials=10 ** 8)
+    curve = sweep(config, sc.snr_grid_db, sc.trials, sc.seed, min_events=_MIN_EVENTS)
     lo = sc.window_lo_db if sc.window_lo_db is not None else sc.snr_start_db
     hi = sc.window_hi_db if sc.window_hi_db is not None else sc.snr_stop_db
     fitted = fit_diversity_slope(curve, (lo, hi))

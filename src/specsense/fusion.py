@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from scipy import special as _sp
 
 from .channel import AvgSnr
-from .detector import DetectorParams, GainSummary, _faded_miss, calibrate_lambda, pf_single
+from .detector import DetectorParams, GainSummary, _faded_miss, pf_single
 from .specfun import ConvergenceError, _count, inv_reg_upper_gamma, log_binom
 
 
@@ -71,15 +71,13 @@ def calibrate_local_lambda_global(n_users: int, n_vote: int, m: int,
 
     Inverts binom_tail(N, n, p) = alpha for the local P_F through the inverse
     incomplete beta, then maps p to lambda through the inverse incomplete
-    gamma.  The result satisfies |P_F_G - alpha| <= 1e-9.
+    gamma.  The result satisfies |P_F_G - alpha| <= 1e-9.  With N = 1 the
+    inverse beta returns alpha itself, so the threshold is the single user's.
     """
     params = FusionParams(n_users=n_users, n_vote=n_vote,
                           per_user=DetectorParams(m=m, lam=1.0))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"false-alarm level must be in (0, 1), got {alpha!r}")
-    if params.n_users == 1:
-        return calibrate_lambda(m, alpha)
-
     p = float(_sp.betaincinv(n_vote, n_users - n_vote + 1, alpha))
     lam = 2.0 * inv_reg_upper_gamma(float(m), p)
     achieved = binom_tail(n_users, n_vote, pf_single(m, lam))

@@ -41,24 +41,21 @@ def allocate_samples(m: int, q: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ReconfigParams:
-    """Reconfigurable-antenna configuration for one sensing window."""
+    """Reconfigurable-antenna window; the switching dwells ``alloc`` are allocate_samples(M, Q)."""
 
     q: int
     m: int
-    alloc: tuple[int, ...]
     lam: float
 
     def __post_init__(self):
-        q, m = _count(self.q, "state count Q"), _count(self.m, "sample count M")
+        _count(self.q, "state count Q")
+        _count(self.m, "sample count M")
         if not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError(f"threshold must be finite and > 0, got {self.lam!r}")
-        if sum(_count(l, "dwell length") for l in self.alloc) != m or len(self.alloc) > q:
-            raise ValueError(f"allocation {self.alloc!r} must split M={m} samples "
-                             f"over at most Q={q} states")
 
-    @classmethod
-    def make(cls, q: int, m: int, lam: float) -> "ReconfigParams":
-        return cls(q=q, m=m, alloc=allocate_samples(m, q), lam=lam)
+    @property
+    def alloc(self) -> tuple[int, ...]:
+        return allocate_samples(self.m, self.q)
 
 
 def _dwell_average(l: int, gamma_bar: float) -> float:
@@ -93,10 +90,10 @@ def avg_pmd_switching(params: ReconfigParams, avg) -> float:
     raises ConvergenceError.
     """
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    m = sum(params.alloc)
+    m, alloc = params.m, params.alloc
     log_val = m * math.log(params.lam) - ln_gamma(m + 1.0)
-    log_val += sum(params.alloc.count(l) * math.log(_dwell_average(l, gamma_bar))
-                   for l in sorted(set(params.alloc)))
+    log_val += sum(alloc.count(l) * math.log(_dwell_average(l, gamma_bar))
+                   for l in sorted(set(alloc)))
     if log_val > _LOG_MAX:
         raise ConvergenceError(f"switching asymptote e^{log_val:.1f} exceeds the double range")
     return math.exp(log_val)

@@ -19,9 +19,9 @@ per-sample draws and two orders of magnitude faster.
 
 A trial draws only what can still change its decision.  Cooperative users
 report one at a time, and a trial stops once its vote is settled; switching
-states add in dwell order, and a trial stops once its sum passes the
-threshold; selection draws the best state's SNR from the max-of-Q law
-(``channel.draw_best_snr``) with one uniform instead of Q fades.
+states add in dwell order (the equal split of M over Q), and a trial stops
+once its sum passes the threshold; selection draws the best state's SNR from
+the max-of-Q law (``channel.draw_best_snr``) with one uniform, not Q fades.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
 
 _BLOCK = 1 << 16
 _Z99 = 2.576  # two-sided 99% normal quantile
+_MIN_EVENTS = 100  # missed-detection events a cell needs to enter a slope fit
 
 
 # The scheme methods call the analytic functions through this module's
@@ -132,7 +133,7 @@ class _Switching(_Noncoop):
     payload_type = ReconfigParams
 
     def payload(self, sc):
-        return ReconfigParams.make(sc.q, sc.m, 1.0)
+        return ReconfigParams(q=sc.q, m=sc.m, lam=1.0)
 
     def diversity(self, p) -> float:
         return float(min(p.m, p.q))
@@ -146,7 +147,7 @@ class _Switching(_Noncoop):
     # above lam stays above.
     def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
         if not signal:
-            return gen.chisquare(2 * sum(p.alloc), n) > p.lam
+            return super().decisions(p, signal, avg, gen, n)
         present = np.zeros(n, dtype=bool)
         undecided = np.arange(n)
         y = np.zeros(n)
@@ -236,12 +237,12 @@ class SchemeConfig:
 
     @classmethod
     def switching(cls, q: int, m: int, lam: float, avg) -> "SchemeConfig":
-        return cls("reconfig-switching", ReconfigParams.make(q, m, lam),
+        return cls("reconfig-switching", ReconfigParams(q=q, m=m, lam=lam),
                    AvgSnr.coerce(avg))
 
     @classmethod
     def selection(cls, q: int, m: int, lam: float, avg) -> "SchemeConfig":
-        return cls("reconfig-selection", ReconfigParams.make(q, m, lam),
+        return cls("reconfig-selection", ReconfigParams(q=q, m=m, lam=lam),
                    AvgSnr.coerce(avg))
 
 
@@ -252,7 +253,6 @@ class McEstimate:
     value: float
     trials: int
     ci_halfwidth: float
-    seed: int
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -267,9 +267,9 @@ class McEstimate:
         return int(round(self.value * self.trials))
 
     @classmethod
-    def from_counts(cls, hits: int, trials: int, seed: int) -> "McEstimate":
+    def from_counts(cls, hits: int, trials: int) -> "McEstimate":
         v = hits / trials
-        return cls(value=v, trials=trials, seed=seed,
+        return cls(value=v, trials=trials,
                    ci_halfwidth=_Z99 * math.sqrt(v * (1.0 - v) / trials))
 
 
@@ -346,7 +346,7 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
         while trials - hits < min_events and trials < max_trials:
             trials = min(trials * 10, int(max_trials))
             hits = run(trials)
-    return McEstimate.from_counts(hits, trials, seed)
+    return McEstimate.from_counts(hits, trials)
 
 
 def _block_plan(total: int) -> list[tuple[int, int]]:
@@ -406,7 +406,7 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
     built.  Point i uses substream i+1; the H0 false-alarm estimate uses
     substream 0 and is attached to every point.
 
-    Pass ``min_events`` (typically 100) to escalate deep-tail points until
+    Pass ``min_events`` (``_MIN_EVENTS`` for slope fits) to escalate deep-tail points until
     they carry enough missed-detection events for slope fitting; leave it
     None for fixed-budget figure exports.
     """
@@ -419,18 +419,16 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
         at_snr = config_template.with_snr(AvgSnr.from_db(snr_db))
         det = estimate_point(at_snr, "H1", trials, seed, stream_id=i + 1,
                              min_events=min_events, max_trials=max_trials)
-        pmd = McEstimate(value=1.0 - det.value, trials=det.trials,
-                         ci_halfwidth=det.ci_halfwidth, seed=seed)
+        pmd = replace(det, value=1.0 - det.value)  # the Wald half-width is symmetric
         points.append(SweepPoint(snr_db=snr_db, pmd=pmd, pf=pf_est))
     return SweepCurve(points=tuple(points))
 
 
-def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float],
-                        *, min_events: int = 100) -> float:
+def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float]) -> float:
     """Diversity order from the high-SNR slope of log pmd vs log gamma_bar.
 
     Least-squares slope of log10(pmd) against log10(gamma_bar) over the
-    window, negated.  Zero-count cells and cells under the event floor are
+    window, negated.  Zero-count cells and cells under ``_MIN_EVENTS`` events are
     excluded with a warning; fewer than 3 usable points is an error.
     """
     lo, hi = window_db
@@ -441,7 +439,7 @@ def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float],
         if point.pmd.value <= 0.0:
             warnings.warn(f"excluding zero-count cell at {point.snr_db} dB")
             continue
-        if point.pmd.events < min_events:
+        if point.pmd.events < _MIN_EVENTS:
             warnings.warn(
                 f"excluding cell at {point.snr_db} dB with only "
                 f"{point.pmd.events} missed-detection events")

@@ -21,7 +21,7 @@ class TestAvgSnr:
     def test_db_round_trip(self):
         avg = AvgSnr.from_db(10.0)
         assert avg.gamma_bar == pytest.approx(10.0)
-        assert avg.db == pytest.approx(10.0)
+        assert 10.0 * math.log10(avg.gamma_bar) == pytest.approx(10.0)
 
     def test_coerce(self):
         assert AvgSnr.coerce(4.0).gamma_bar == 4.0

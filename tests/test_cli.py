@@ -74,6 +74,32 @@ class TestScenarioParsing:
         with pytest.raises(ValueError):
             ScenarioFile(snr_step_db=math.nan)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("schema = 1\nm = 10\nm = 100\n")
+        with pytest.raises(ValueError, match=r"s\.txt:3: repeated scenario key 'm'"):
+            parse_scenario(str(p))
+
+    @pytest.mark.parametrize("start, stop, step, grid", [
+        (-20.0, 20.0, 7.0, [-20.0, -13.0, -6.0, 1.0, 8.0, 15.0]),
+        (0.0, 1.0, 0.6, [0.0, 0.6]),
+        (-20.0, 20.0, 0.5, [-20.0 + 0.5 * i for i in range(81)]),
+    ], ids=["step-7", "step-0.6", "step-0.5"])
+    def test_grid_stops_at_or_before_the_stop(self, start, stop, step, grid):
+        sc = ScenarioFile(snr_start_db=start, snr_stop_db=stop, snr_step_db=step)
+        assert sc.snr_grid_db == grid
+
+    def test_default_grid(self):
+        assert ScenarioFile().snr_grid_db == [float(x) for x in range(-20, 21)]
+
+    # Only the constructor runs here: none of these builds its grid.
+    def test_grid_point_count_is_capped(self):
+        ScenarioFile(snr_start_db=0.0, snr_stop_db=99_999.0)  # 10^5 points
+        with pytest.raises(ValueError):
+            ScenarioFile(snr_start_db=0.0, snr_stop_db=100_000.0)
+        with pytest.raises(ValueError):
+            ScenarioFile(snr_step_db=1e-300)
+
     def test_scenario_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             ScenarioFile().trials = 10
@@ -113,6 +139,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists()
+
+    # calibrate builds no grid, so a missing check fails here without a
+    # 4e301-point list.
+    @pytest.mark.parametrize("text", ["schema = 1\nm = 10\nm = 100\n",
+                                      "schema = 1\nsnr_step_db = 1e-300\n"],
+                             ids=["repeated-key", "grid-too-fine"])
+    def test_rejected_scenario_is_config_error(self, tmp_path, capsys, text):
+        p = tmp_path / "s.txt"
+        p.write_text(text)
+        assert main(["calibrate", "--scenario", str(p)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         from specsense import cli

@@ -59,21 +59,12 @@ class TestAllocation:
             assert sum(alloc) == m
             assert set(alloc) <= {base, base + 1}
 
-    # The analytic P_F counts M samples and the H0 draw counts sum(alloc), so
-    # the two must agree: with (2, 2) under M = 10 the analytic P_F would read
-    # 0.05 and the Monte Carlo H0 estimate about 1e-4.
-    @pytest.mark.parametrize("q, alloc", [(2, (2, 2)), (2, (5, 6)), (1, (5, 5))],
-                             ids=["short", "over", "more-dwells-than-states"])
-    def test_allocation_must_split_the_budget(self, q, alloc):
-        with pytest.raises(ValueError):
-            ReconfigParams(q=q, m=10, alloc=alloc, lam=calibrate_lambda(10, 0.05))
-
 
 class TestAvgSwitching:
     def test_asymptotic_slope_is_exactly_q(self):
         # The dwell averages reach their gb^-1 limit only as gb -> infinity:
         # over 30 -> 40 dB the ratio is 0.99888 x 10^Q for Q = 10, M = 100.
-        params = ReconfigParams.make(10, 100, calibrate_lambda(100, 0.05))
+        params = ReconfigParams(q=10, m=100, lam=calibrate_lambda(100, 0.05))
         a = avg_pmd_switching(params, 1e3)
         b = avg_pmd_switching(params, 1e4)
         assert a / b == pytest.approx(10.0 ** 10, rel=2e-3)
@@ -81,7 +72,7 @@ class TestAvgSwitching:
     def test_quadrature_vs_asymptotic(self):
         # against the fully reduced large-SNR form
         # lam^M / Gamma(M+1) / (prod (l_j - 1) * gamma_bar^Q)
-        params = ReconfigParams(q=3, m=12, alloc=(4, 4, 4), lam=30.0)
+        params = ReconfigParams(q=3, m=12, lam=30.0)
         reduced = math.exp(12 * math.log(30.0) - ln_gamma(13.0)
                            - 3 * math.log(3.0) - 3 * math.log(1e4))
         ratio = avg_pmd_switching(params, 1e4) / reduced
@@ -108,12 +99,12 @@ class TestAvgSwitching:
         assert _dwell_average(1, gb) * gb == pytest.approx(
             math.log(gb) - np.euler_gamma, rel=1e-5)
         # the dwell-average form handles singleton dwells fine
-        params = ReconfigParams(q=3, m=5, alloc=(2, 2, 1), lam=10.0)
+        params = ReconfigParams(q=3, m=5, lam=10.0)
         assert 0.0 < avg_pmd_switching(params, 1e3) < math.inf
 
     def test_beyond_double_range_raises_convergence_error(self):
         # lam^M / M! alone is e^1688 at M = 1000, alpha = 0.05.
-        params = ReconfigParams.make(10, 1000, calibrate_lambda(1000, 0.05))
+        params = ReconfigParams(q=10, m=1000, lam=calibrate_lambda(1000, 0.05))
         with pytest.raises(ConvergenceError):
             avg_pmd_switching(params, AvgSnr.from_db(0.0))
 
@@ -123,7 +114,7 @@ class TestSwitchingAsymptoticConditional:
 
     def test_zero_gamma_leading_term(self):
         # gamma_bar -> 0 leaves every dwell average at 1
-        params = ReconfigParams(q=3, m=6, alloc=(2, 2, 2), lam=9.0)
+        params = ReconfigParams(q=3, m=6, lam=9.0)
         want = math.exp(6 * math.log(9.0) - ln_gamma(7.0))
         assert avg_pmd_switching(params, 1e-15) == pytest.approx(want, rel=1e-12)
 
@@ -131,9 +122,9 @@ class TestSwitchingAsymptoticConditional:
         # independent dwells: the (3, 2) average is the product of the
         # single-dwell ones, up to the 3! 2! / 5! of the lam^M / M! prefactor
         for gb in (0.5, 10.0, 1e4):
-            both = avg_pmd_switching(ReconfigParams(q=2, m=5, alloc=(3, 2), lam=11.0), gb)
-            a = avg_pmd_switching(ReconfigParams(q=1, m=3, alloc=(3,), lam=11.0), gb)
-            b = avg_pmd_switching(ReconfigParams(q=1, m=2, alloc=(2,), lam=11.0), gb)
+            both = avg_pmd_switching(ReconfigParams(q=2, m=5, lam=11.0), gb)
+            a = avg_pmd_switching(ReconfigParams(q=1, m=3, lam=11.0), gb)
+            b = avg_pmd_switching(ReconfigParams(q=1, m=2, lam=11.0), gb)
             assert both == pytest.approx(a * b * 6.0 * 2.0 / 120.0, rel=1e-12)
 
 
@@ -142,15 +133,15 @@ class TestSwitchingConditional:
         rng = np.random.default_rng(5)
         for _ in range(150):
             q = int(rng.integers(1, 5))
-            alloc = tuple(int(a) for a in rng.integers(1, 6, q))
-            lam = float(rng.uniform(1.0, 8.0) * sum(alloc))
+            m = int(rng.integers(q, 5 * q + 1))
+            lam = float(rng.uniform(1.0, 8.0) * m)
             gb = float(rng.uniform(0.1, 50.0))
-            params = ReconfigParams(q=q, m=sum(alloc), alloc=alloc, lam=lam)
+            params = ReconfigParams(q=q, m=m, lam=lam)
             base = avg_pmd_switching(params, gb)
             up = avg_pmd_switching(params, gb + float(rng.uniform(0.01, 1.0)))
             assert up <= base * (1.0 + 1e-12)
             wider = avg_pmd_switching(
-                ReconfigParams(q=q, m=sum(alloc), alloc=alloc, lam=lam * 1.25), gb)
+                ReconfigParams(q=q, m=m, lam=lam * 1.25), gb)
             assert wider >= base * (1.0 - 1e-12)
 
 
@@ -230,7 +221,7 @@ class TestAvgSelection:
 
     def test_selection_dominates_switching_average(self):
         lam = calibrate_lambda(12, 0.05)
-        params = ReconfigParams.make(3, 12, lam)
+        params = ReconfigParams(q=3, m=12, lam=lam)
         for gb in (1.0, 10.0, 100.0, 1e3):
             sel = avg_pmd_selection(12, lam, gb, 3)
             sw = avg_pmd_switching(params, gb)

@@ -99,7 +99,7 @@ class TestEstimatePoint:
         assert abs(got - want) <= 3 * math.sqrt(want / 10 ** 6)
 
     def test_ci_formula_pinned(self):
-        est = McEstimate.from_counts(250, 1000, seed=0)
+        est = McEstimate.from_counts(250, 1000)
         assert est.ci_halfwidth == pytest.approx(
             2.576 * math.sqrt(0.25 * 0.75 / 1000), rel=1e-12)
         assert est.events == 250
@@ -200,10 +200,10 @@ class TestSweep:
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             SweepCurve(points=(
-                SweepPoint(0.0, McEstimate(0.5, 1000, 0.01, 1),
-                           McEstimate(0.05, 1000, 0.01, 1)),
-                SweepPoint(0.0, McEstimate(0.4, 1000, 0.01, 1),
-                           McEstimate(0.05, 1000, 0.01, 1)),
+                SweepPoint(0.0, McEstimate(0.5, 1000, 0.01),
+                           McEstimate(0.05, 1000, 0.01)),
+                SweepPoint(0.0, McEstimate(0.4, 1000, 0.01),
+                           McEstimate(0.05, 1000, 0.01)),
             ))
 
 
@@ -215,9 +215,9 @@ class TestSlopeFit:
             gb = 10.0 ** (snr_db / 10.0)
             pmd = min(1.0, coeff / gb ** d)
             est = McEstimate(value=pmd, trials=trials,
-                             ci_halfwidth=ci99(pmd, trials), seed=0)
+                             ci_halfwidth=ci99(pmd, trials))
             pf = McEstimate(value=0.05, trials=trials,
-                            ci_halfwidth=ci99(0.05, trials), seed=0)
+                            ci_halfwidth=ci99(0.05, trials))
             points.append(SweepPoint(snr_db=snr_db, pmd=est, pf=pf))
         return SweepCurve(points=tuple(points))
 
@@ -227,12 +227,12 @@ class TestSlopeFit:
 
     def test_excludes_zero_cells_with_warning(self):
         base = self.synthetic_curve(2.0, 1.0, [10, 15, 20, 25])
-        zero = SweepPoint(60.0, McEstimate(0.0, 10 ** 7, 0.0, 0),
-                          McEstimate(0.05, 10 ** 7, 0.001, 0))
+        zero = SweepPoint(60.0, McEstimate(0.0, 10 ** 7, 0.0),
+                          McEstimate(0.05, 10 ** 7, 0.001))
         curve = SweepCurve(points=base.points + (zero,))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            slope = fit_diversity_slope(curve, (10, 60), min_events=0)
+            slope = fit_diversity_slope(curve, (10, 60))
         assert any("zero-count" in str(w.message) for w in caught)
         assert slope == pytest.approx(2.0, abs=1e-6)
 

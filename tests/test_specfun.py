@@ -355,9 +355,8 @@ COUNT_SITES = {
     "FusionParams.n_vote": lambda x: FusionParams(n_users=3, n_vote=x, per_user=_USER),
     "allocate_samples.m": lambda x: allocate_samples(x, 2),
     "allocate_samples.q": lambda x: allocate_samples(4, x),
-    "ReconfigParams.q": lambda x: ReconfigParams(q=x, m=2, alloc=(1, 1), lam=1.0),
-    "ReconfigParams.m": lambda x: ReconfigParams(q=2, m=x, alloc=(1, 1), lam=1.0),
-    "ReconfigParams.alloc": lambda x: ReconfigParams(q=2, m=2, alloc=(1, x), lam=1.0),
+    "ReconfigParams.q": lambda x: ReconfigParams(q=x, m=2, lam=1.0),
+    "ReconfigParams.m": lambda x: ReconfigParams(q=2, m=x, lam=1.0),
     "diversity_reconfig.m": lambda x: diversity_reconfig(x, 2),
     "diversity_reconfig.q": lambda x: diversity_reconfig(2, x),
     "avg_pmd_selection.q": lambda x: avg_pmd_selection(2, 1.0, 1.0, x),
