@@ -33,7 +33,7 @@ from .channel import AvgSnr
 from .detector import pf_single
 from .fusion import global_pf
 from .reconfig import reduced_samples
-from .simkit import (_MIN_EVENTS, _Z99, SCENARIO_SCHEMES, SchemeConfig,
+from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _Z99, SCENARIO_SCHEMES, SchemeConfig,
                      estimate_point, fit_diversity_slope, sweep)
 from .specfun import ConvergenceError
 
@@ -83,8 +83,8 @@ class ScenarioFile:
             raise ValueError("snr_stop_db must be >= snr_start_db")
         if self._grid_steps() >= _MAX_GRID_POINTS:  # counted before any point is made
             raise ValueError(f"the SNR grid must have at most {_MAX_GRID_POINTS} points")
-        if self.trials < 1000:
-            raise ValueError("trials must be >= 1000")
+        if not 1000 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must be in [1000, {_MAX_TRIALS}], got {self.trials}")
 
     def _grid_steps(self) -> float:
         # The floor of this is the last grid index; the 1e-9 keeps a stop that

@@ -49,7 +49,7 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     (the range 60 nats down), where (e^u - 1)/gamma_bar is 2^k, and around
     the Gamma bulk in units of 1/sqrt(M).  The order-16 rule's distance from
     the order-20 value is the error estimate.  A result below the smallest
-    double reads 0.0.
+    double reads 0.0; one that rounding lifts above 1 reads 1.0.
     """
     log_half, scale = math.log(lam / 2.0), -1.0 / gamma_bar
 
@@ -77,7 +77,7 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     if not error <= _TOL * total:
         raise ConvergenceError(f"fading average error estimate {error / total:.1e} at "
                                f"M={m}, lam={lam}, gamma_bar={gamma_bar}, Q={q}")
-    return math.exp(peak - math.lgamma(m) + math.log(total))
+    return min(1.0, math.exp(peak - math.lgamma(m) + math.log(total)))
 
 
 @dataclass(frozen=True)

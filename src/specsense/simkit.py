@@ -10,7 +10,10 @@ reproducible for a given seed and total trial count no matter how blocks are
 scheduled, and results merge by plain integer-count addition.  Blocks run
 concurrently on a thread pool sized to the CPU affinity (numpy's generators
 and ufuncs release the GIL), and an escalating point keeps the counts of the
-blocks it has already drawn.
+blocks it has already drawn.  A sweep issues all of its points at once from
+a few driver threads, so the blocks of several points share the pool; each
+estimate still depends only on its own (seed, stream, trials), so no bit
+depends on how the points overlap.
 
 Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
@@ -32,6 +35,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -43,6 +47,7 @@ from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
 _BLOCK = 1 << 16
 _Z99 = 2.576  # two-sided 99% normal quantile
 _MIN_EVENTS = 100  # missed-detection events a cell needs to enter a slope fit
+_MAX_TRIALS = 10 ** 8  # the escalation cap, and the largest budget a scenario may ask for
 
 
 # The scheme methods call the analytic functions through this module's
@@ -310,7 +315,7 @@ def _one_plus_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
 
 def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int,
                    *, stream_id: int = 0, min_events: int | None = None,
-                   max_trials: int = 10 ** 8) -> McEstimate:
+                   max_trials: int = _MAX_TRIALS) -> McEstimate:
     """Monte Carlo estimate of P(decision = present) from per-block substreams.
 
     Deterministic for fixed (seed, stream_id, trials) regardless of execution
@@ -398,7 +403,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
-          *, min_events: int | None = None, max_trials: int = 10 ** 8) -> SweepCurve:
+          *, min_events: int | None = None, max_trials: int = _MAX_TRIALS) -> SweepCurve:
     """Missed-detection curve over an SNR grid, plus one shared H0 check.
 
     The template's threshold is held constant across the grid: alpha fixes
@@ -409,19 +414,49 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
     Pass ``min_events`` (``_MIN_EVENTS`` for slope fits) to escalate deep-tail points until
     they carry enough missed-detection events for slope fitting; leave it
     None for fixed-budget figure exports.
+
+    The H0 estimate and every point's ``estimate_point`` are issued together
+    (see ``_run_all``), so one point's blocks queue on the shared pool while
+    another's run.  The curve has the same bits as issuing them one by one.
     """
     snr_grid_db = [float(s) for s in snr_grid_db]
     if not snr_grid_db:
         raise ValueError("SNR grid must be nonempty")
-    pf_est = estimate_point(config_template, "H0", trials, seed, stream_id=0)
-    points = []
-    for i, snr_db in enumerate(snr_grid_db):
+
+    def h0():
+        return estimate_point(config_template, "H0", trials, seed, stream_id=0)
+
+    def h1(i: int, snr_db: float):
         at_snr = config_template.with_snr(AvgSnr.from_db(snr_db))
-        det = estimate_point(at_snr, "H1", trials, seed, stream_id=i + 1,
-                             min_events=min_events, max_trials=max_trials)
-        pmd = replace(det, value=1.0 - det.value)  # the Wald half-width is symmetric
-        points.append(SweepPoint(snr_db=snr_db, pmd=pmd, pf=pf_est))
-    return SweepCurve(points=tuple(points))
+        return estimate_point(at_snr, "H1", trials, seed, stream_id=i + 1,
+                              min_events=min_events, max_trials=max_trials)
+
+    pf_est, *dets = _run_all([h0] + [partial(h1, i, s) for i, s in enumerate(snr_grid_db)])
+    # The Wald half-width is symmetric, so the miss keeps the detection's.
+    return SweepCurve(points=tuple(
+        SweepPoint(snr_db=snr_db, pmd=replace(det, value=1.0 - det.value), pf=pf_est)
+        for snr_db, det in zip(snr_grid_db, dets)))
+
+
+def _run_all(tasks: list) -> list:
+    """``[task() for task in tasks]``, with several tasks in flight on a multi-core pool.
+
+    Up to ``_worker_count() + 1`` driver threads, made for this call and
+    joined before it returns, each run one task at a time in list order;
+    the extra driver keeps blocks queued while another driver collects its
+    counts.  The first failing task, in list order, raises; tasks not yet
+    started are dropped.
+    """
+    workers = _worker_count()
+    if workers < 2:
+        return [task() for task in tasks]
+    drivers = ThreadPoolExecutor(max_workers=min(workers + 1, len(tasks)),
+                                 thread_name_prefix="specsense-sweep")
+    try:
+        futures = [drivers.submit(task) for task in tasks]
+        return [future.result() for future in futures]
+    finally:
+        drivers.shutdown(cancel_futures=True)
 
 
 def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float]) -> float:

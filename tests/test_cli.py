@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import specsense
+from specsense import simkit
 from specsense.cli import (
     CSV_HEADER,
     ScenarioFile,
@@ -20,6 +21,7 @@ from specsense.cli import (
     main,
     parse_scenario,
 )
+from specsense.simkit import _MAX_TRIALS
 
 
 def write_scenario(path, **overrides):
@@ -69,6 +71,9 @@ class TestScenarioParsing:
             ScenarioFile(snr_step_db=0.0)
         with pytest.raises(ValueError):
             ScenarioFile(trials=10)
+        ScenarioFile(trials=_MAX_TRIALS)
+        with pytest.raises(ValueError, match=r"trials must be in \[1000, 100000000\]"):
+            ScenarioFile(trials=_MAX_TRIALS + 1)
         with pytest.raises(ValueError):
             ScenarioFile(snr_stop_db=math.inf)
         with pytest.raises(ValueError):
@@ -139,6 +144,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "configuration error" in err and "Traceback" not in err
         assert not out.exists()
+
+    # A missing bound would have each point plan ~1.5e10 blocks; the spy
+    # fails the test at the first plan instead.
+    @pytest.mark.parametrize("flags, keys", [
+        (["--trials", str(10 ** 15)], {}),
+        ([], {"trials": 10 ** 15}),
+    ], ids=["flag", "scenario-key"])
+    def test_trials_above_the_escalation_cap_is_config_error(
+            self, tmp_path, monkeypatch, capsys, flags, keys):
+        def refuse(total):
+            raise AssertionError(f"planned {total} trials")
+
+        monkeypatch.setattr(simkit, "_block_plan", refuse)
+        path = write_scenario(tmp_path / "s.txt", **keys)
+        assert main(["sweep", "--scenario", path,
+                     "--out", str(tmp_path / "o.csv")] + flags) == 2
+        assert "trials must be in [1000, 100000000]" in capsys.readouterr().err
 
     # calibrate builds no grid, so a missing check fails here without a
     # 4e301-point list.
@@ -224,6 +246,18 @@ class TestSweepCommand:
             assert float(row["pf_analytic"]) == pytest.approx(want_pf, rel=1e-9)
             assert float(row["pmd_analytic"]) == pytest.approx(want_pmd, rel=1e-9)
             assert row["pmd_mc"] == ""  # analytic mode leaves MC columns empty
+
+    def test_exact_miss_that_rounds_above_one_reads_one(self, tmp_path, capsys):
+        # The fading quadrature gives 1 + 6.3e-13 here; unclamped, the OR
+        # rule's binomial tail rejected it as a probability and the run exited 2.
+        path = write_scenario(tmp_path / "s.txt", scheme="coop", n_users=1, n_vote=1,
+                              m=4488, alpha=2.77e-12, snr_start_db=-34.2,
+                              snr_stop_db=-34.2, mode="analytic")
+        out = tmp_path / "a.csv"
+        assert main(["sweep", "--scenario", path, "--out", str(out)]) == 0
+        with out.open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert 0.999 < float(row["pmd_analytic"]) <= 1.0
 
     def test_mc_mode_skips_analytic_columns(self, tmp_path):
         path = write_scenario(tmp_path / "s.txt", mode="mc")

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from specsense import AvgSnr
-from specsense.detector import DetectorParams, _faded_miss, avg_pd_numeric
+from specsense.detector import DetectorParams, _faded_miss, avg_pd_numeric, calibrate_lambda
 from specsense.fusion import FusionParams, global_pmd
 from specsense.reconfig import avg_pmd_selection
 from specsense.simkit import SCHEMES
@@ -95,3 +95,12 @@ def test_public_entry_points_take_the_rule():
                 1.0 - want, rel=1e-12, abs=2e-16)
         assert got == pytest.approx(want, rel=1e-9, abs=0.0), cell
 
+
+
+# Near the worst low-SNR corner of the box the rule's 1e-10 error can carry
+# the miss past 1 (1 + 6.3e-13 and 1 + 5.8e-12 before the clamp).
+@pytest.mark.parametrize("m, alpha, q, snr_db", [(4488, 2.77e-12, 1, -34.2),
+                                                 (7168, 1.34e-12, 24, -36.8)],
+                         ids=["noncoop", "selection"])
+def test_a_miss_rounded_above_one_reads_one(m, alpha, q, snr_db):
+    assert _faded_miss(m, calibrate_lambda(m, alpha), 10.0 ** (snr_db / 10.0), q) == 1.0

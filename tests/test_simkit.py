@@ -9,6 +9,7 @@ import multiprocessing
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import pytest
 from scipy import stats
@@ -369,6 +370,24 @@ def escalated_deep_point():
                           max_trials=10 ** 7)
 
 
+# A fixed-budget and an escalating sweep (the 35 dB point reaches 1e6 trials).
+SWEEPS = [
+    ((GOLDEN_CONFIGS["coop"], [0.0, 5.0, 10.0], GOLDEN_TRIALS, 2024), {}),
+    ((DEEP, [25.0, 30.0, 35.0], 1000, 7), {"min_events": 100, "max_trials": 10 ** 7}),
+]
+
+
+def one_by_one(config, grid, trials, seed, **kwargs):
+    """The curve ``sweep`` promises, from separate ``estimate_point`` calls."""
+    pf = estimate_point(config, "H0", trials, seed, stream_id=0)
+    points = []
+    for i, snr_db in enumerate(grid):
+        det = estimate_point(config.with_snr(AvgSnr.from_db(snr_db)), "H1", trials,
+                             seed, stream_id=i + 1, **kwargs)
+        points.append(SweepPoint(snr_db, replace(det, value=1.0 - det.value), pf))
+    return SweepCurve(points=tuple(points))
+
+
 def _estimate_in_child(queue):
     queue.put(escalated_deep_point())
 
@@ -397,10 +416,85 @@ class TestBlockScheduling:
         cfg = GOLDEN_CONFIGS["coop"]
         pooled = estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024, stream_id=3)
         deep_pooled = escalated_deep_point()
-        monkeypatch.setattr(simkit, "_worker_count", lambda: 1)
-        assert estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024,
-                              stream_id=3) == pooled
-        assert escalated_deep_point() == deep_pooled
+        curves = [one_by_one(*args, **kwargs) for args, kwargs in SWEEPS]
+        assert curves[1].points[-1].pmd.trials == 10 ** 6
+        for workers in (simkit._worker_count(), 2, 1):
+            monkeypatch.setattr(simkit, "_worker_count", lambda w=workers: w)
+            assert estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024,
+                                  stream_id=3) == pooled
+            assert escalated_deep_point() == deep_pooled
+            assert [sweep(*args, **kwargs) for args, kwargs in SWEEPS] == curves
+
+    def test_sweep_with_more_drivers_than_cores_under_fast_switching(self, monkeypatch):
+        # Five drivers share the pool, each point four blocks; a thread
+        # switch every microsecond would expose counts shared between points.
+        monkeypatch.setattr(simkit, "_worker_count", lambda: 4)
+        args = (GOLDEN_CONFIGS["coop"], [-5.0, 0.0, 5.0, 10.0, 15.0], GOLDEN_TRIALS, 2024)
+        want = one_by_one(*args)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = sweep(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_sweep_starts_the_next_point_before_a_point_returns(self, monkeypatch):
+        # Point 1 waits for point 2 to start; one point at a time, it waits
+        # out the timeout instead.
+        monkeypatch.setattr(simkit, "_worker_count", lambda: 2)
+        started = threading.Event()
+        waited = []
+        estimate = simkit.estimate_point
+
+        def spy(config, hypothesis, trials, seed, *, stream_id=0, **kwargs):
+            if stream_id == 1:
+                waited.append(started.wait(timeout=10))
+            elif stream_id == 2:
+                started.set()
+            return estimate(config, hypothesis, trials, seed, stream_id=stream_id, **kwargs)
+
+        monkeypatch.setattr(simkit, "estimate_point", spy)
+        curve = sweep(GOLDEN_CONFIGS["noncoop"], [0.0, 5.0], 1000, seed=1)
+        assert waited == [True]
+        assert len(curve.points) == 2
+
+    # 1000 trials is one block, so the points draw on their drivers and the
+    # shared pool starts no thread.
+    @pytest.mark.parametrize("one_worker", [False, True], ids=["affinity", "one-worker"])
+    def test_sweep_adds_at_most_workers_plus_one_threads(self, monkeypatch, one_worker):
+        if one_worker:
+            monkeypatch.setattr(simkit, "_worker_count", lambda: 1)
+        workers = simkit._worker_count()
+        before = threading.active_count()
+        during = []
+        estimate = simkit.estimate_point
+
+        def spy(*args, **kwargs):
+            during.append(threading.active_count())
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(simkit, "estimate_point", spy)
+        grid = [0.1 * i for i in range(500)]
+        curve = sweep(GOLDEN_CONFIGS["noncoop"], grid, 1000, seed=3)
+        assert len(curve.points) == len(during) - 1 == 500
+        assert max(during) - before <= (0 if workers == 1 else workers + 1)
+        assert threading.active_count() == before
+
+    def test_sweep_raises_the_first_failing_point(self, monkeypatch):
+        monkeypatch.setattr(simkit, "_worker_count", lambda: 2)
+        before = threading.active_count()
+        estimate = simkit.estimate_point
+
+        def spy(config, hypothesis, trials, seed, *, stream_id=0, **kwargs):
+            if stream_id in (2, 4):
+                raise FloatingPointError(f"forced at stream {stream_id}")
+            return estimate(config, hypothesis, trials, seed, stream_id=stream_id, **kwargs)
+
+        monkeypatch.setattr(simkit, "estimate_point", spy)
+        with pytest.raises(FloatingPointError, match="stream 2"):
+            sweep(GOLDEN_CONFIGS["noncoop"], [0.1 * i for i in range(50)], 1000, seed=3)
+        assert threading.active_count() == before
 
     def test_each_block_drawn_once_per_point(self, monkeypatch):
         drawn = []
