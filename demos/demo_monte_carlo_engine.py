@@ -5,8 +5,9 @@ Philox substream keyed by (seed, point, block).  That makes every number
 bit-exact reproducible and lets deep-tail points escalate their trial count
 without disturbing anything else.  The blocks of a point run on a thread pool
 sized to the CPU affinity, each escalation step reuses the complete blocks
-already counted, and a sweep runs its points side by side on that one pool;
-the estimates keep the same bits either way.
+already counted, and a sweep runs its points side by side on a few driver
+threads, their blocks sharing that one pool; the estimates keep the same bits
+either way.
 
 Run:  python demos/demo_monte_carlo_engine.py
 """

@@ -33,8 +33,8 @@ from .channel import AvgSnr
 from .detector import pf_single
 from .fusion import global_pf
 from .reconfig import reduced_samples
-from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _Z99, SCENARIO_SCHEMES, SchemeConfig,
-                     estimate_point, fit_diversity_slope, sweep)
+from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _MIN_TRIALS, _Z99, SCENARIO_SCHEMES,
+                     SchemeConfig, estimate_point, fit_diversity_slope, sweep)
 from .specfun import ConvergenceError
 
 _MODES = ("analytic", "mc", "both")
@@ -83,8 +83,11 @@ class ScenarioFile:
             raise ValueError("snr_stop_db must be >= snr_start_db")
         if self._grid_steps() >= _MAX_GRID_POINTS:  # counted before any point is made
             raise ValueError(f"the SNR grid must have at most {_MAX_GRID_POINTS} points")
-        if not 1000 <= self.trials <= _MAX_TRIALS:
-            raise ValueError(f"trials must be in [1000, {_MAX_TRIALS}], got {self.trials}")
+        if not _MIN_TRIALS <= self.trials <= _MAX_TRIALS:
+            raise ValueError(
+                f"trials must be in [{_MIN_TRIALS}, {_MAX_TRIALS}], got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def _grid_steps(self) -> float:
         # The floor of this is the last grid index; the 1e-9 keeps a stop that
@@ -264,10 +267,15 @@ def cmd_figure(which: str, sc: ScenarioFile, alpha: float | None = None) -> int:
 
 
 def cmd_slope(sc: ScenarioFile) -> int:
-    config = build_config(sc)
-    curve = sweep(config, sc.snr_grid_db, sc.trials, sc.seed, min_events=_MIN_EVENTS)
     lo = sc.window_lo_db if sc.window_lo_db is not None else sc.snr_start_db
     hi = sc.window_hi_db if sc.window_hi_db is not None else sc.snr_stop_db
+    in_window = sum(lo <= s <= hi for s in sc.snr_grid_db)
+    if in_window < 3:  # checked before the sweep, which may escalate for minutes
+        raise ValueError(
+            f"the slope window [{lo}, {hi}] dB must hold at least 3 grid points, "
+            f"got {in_window}")
+    config = build_config(sc)
+    curve = sweep(config, sc.snr_grid_db, sc.trials, sc.seed, min_events=_MIN_EVENTS)
     fitted = fit_diversity_slope(curve, (lo, hi))
     analytic = config.scheme.diversity(config.payload)
     print(f"fitted_slope={fitted:.4f} analytic_diversity={analytic:.4f} "

@@ -15,6 +15,12 @@ a few driver threads, so the blocks of several points share the pool; each
 estimate still depends only on its own (seed, stream, trials), so no bit
 depends on how the points overlap.
 
+Both levels are needed.  One deep point escalates to many blocks, which only
+the block pool spreads over the cores; a sweep of many small points, each a
+single block, keeps the cores busy only through its drivers.  The block pool
+is built at import, which starts no thread: an executor starts its threads
+at its first submit.
+
 Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
 dimension convention), which is distributionally identical to summing squared
@@ -31,11 +37,9 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -47,7 +51,8 @@ from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
 _BLOCK = 1 << 16
 _Z99 = 2.576  # two-sided 99% normal quantile
 _MIN_EVENTS = 100  # missed-detection events a cell needs to enter a slope fit
-_MAX_TRIALS = 10 ** 8  # the escalation cap, and the largest budget a scenario may ask for
+_MIN_TRIALS = 1000  # the smallest trial budget of an estimate or a scenario
+_MAX_TRIALS = 10 ** 8  # the largest, and the escalation cap
 
 
 # The scheme methods call the analytic functions through this module's
@@ -292,9 +297,12 @@ class SweepCurve:
     points: tuple[SweepPoint, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        grid = [p.snr_db for p in self.points]
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("SNR grid must be strictly increasing")
+        _check_increasing([p.snr_db for p in self.points])
+
+
+def _check_increasing(grid: list[float]) -> None:
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("SNR grid must be strictly increasing")
 
 
 def _batch_decisions(config: SchemeConfig, hypothesis: str,
@@ -324,10 +332,13 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     seen, which keeps deep-tail missed-detection points eligible for slope
     fits.  Each step draws only the blocks that no
     earlier step has counted, so escalating to T trials gives the same bits
-    as asking for T trials at once.
+    as asking for T trials at once.  ``trials`` and ``max_trials`` are
+    checked against the budget bounds before any block is planned.
     """
-    if trials < 1000:
-        raise ValueError(f"need at least 1000 trials, got {trials}")
+    if not _MIN_TRIALS <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in [{_MIN_TRIALS}, {_MAX_TRIALS}], got {trials}")
+    if max_trials > _MAX_TRIALS:
+        raise ValueError(f"max_trials must be at most {_MAX_TRIALS}, got {max_trials}")
     base = RandomStream(seed=seed, stream_id=stream_id)
 
     def count(block: tuple[int, int]) -> int:
@@ -342,7 +353,7 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     def run(total: int) -> int:
         plan = _block_plan(total)
         todo = [block for block in plan if block not in counted]
-        counted.update(zip(todo, _map_blocks(count, todo)))
+        counted.update(zip(todo, _map(count, todo, _pool)))
         return sum(counted[block] for block in plan)
 
     trials = int(trials)
@@ -363,10 +374,6 @@ def _block_plan(total: int) -> list[tuple[int, int]]:
     return plan
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
 def _worker_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -374,32 +381,33 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(fn, blocks: list) -> list:
-    """``[fn(b) for b in blocks]``, on the shared thread pool when that can help."""
-    workers = _worker_count()
-    if len(blocks) < 2 or workers < 2:
-        return [fn(b) for b in blocks]
-    return list(_shared_pool(workers).map(fn, blocks))
+def _new_pool() -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(max_workers=_worker_count(), thread_name_prefix="specsense-mc")
 
 
-def _shared_pool(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="specsense-mc")
-        return _pool
+# The block pool.  An executor starts no thread before its first submit.
+_pool = _new_pool()
 
 
-def _drop_pool_in_child() -> None:
+def _new_pool_in_child() -> None:
     # The parent's worker threads do not exist in a forked child.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+    global _pool
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool_in_child)
+    os.register_at_fork(after_in_child=_new_pool_in_child)
+
+
+def _map(fn, items, pool: ThreadPoolExecutor) -> list:
+    """``[fn(x) for x in items]``, on ``pool`` when that can help.
+
+    Results come in list order: the first failing item in that order
+    raises, and items not yet started are cancelled.
+    """
+    if len(items) < 2 or _worker_count() < 2:
+        return [fn(x) for x in items]
+    return list(pool.map(fn, items))
 
 
 def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
@@ -415,48 +423,33 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
     they carry enough missed-detection events for slope fitting; leave it
     None for fixed-budget figure exports.
 
-    The H0 estimate and every point's ``estimate_point`` are issued together
-    (see ``_run_all``), so one point's blocks queue on the shared pool while
-    another's run.  The curve has the same bits as issuing them one by one.
+    The H0 estimate and every point's ``estimate_point`` run on up to
+    ``_worker_count() + 1`` driver threads, made for this call and joined
+    before it returns, so one point's blocks queue on the block pool while
+    another's run; the extra driver keeps blocks queued while another
+    collects its counts.  The curve has the same bits as issuing the
+    estimates one by one.
     """
     snr_grid_db = [float(s) for s in snr_grid_db]
     if not snr_grid_db:
         raise ValueError("SNR grid must be nonempty")
+    _check_increasing(snr_grid_db)  # before any estimate runs
 
-    def h0():
-        return estimate_point(config_template, "H0", trials, seed, stream_id=0)
-
-    def h1(i: int, snr_db: float):
-        at_snr = config_template.with_snr(AvgSnr.from_db(snr_db))
-        return estimate_point(at_snr, "H1", trials, seed, stream_id=i + 1,
+    def estimate(stream_id: int) -> McEstimate:
+        if stream_id == 0:
+            return estimate_point(config_template, "H0", trials, seed, stream_id=0)
+        at_snr = config_template.with_snr(AvgSnr.from_db(snr_grid_db[stream_id - 1]))
+        return estimate_point(at_snr, "H1", trials, seed, stream_id=stream_id,
                               min_events=min_events, max_trials=max_trials)
 
-    pf_est, *dets = _run_all([h0] + [partial(h1, i, s) for i, s in enumerate(snr_grid_db)])
+    streams = range(len(snr_grid_db) + 1)
+    with ThreadPoolExecutor(max_workers=min(_worker_count() + 1, len(streams)),
+                            thread_name_prefix="specsense-sweep") as drivers:
+        pf_est, *dets = _map(estimate, streams, drivers)
     # The Wald half-width is symmetric, so the miss keeps the detection's.
     return SweepCurve(points=tuple(
         SweepPoint(snr_db=snr_db, pmd=replace(det, value=1.0 - det.value), pf=pf_est)
         for snr_db, det in zip(snr_grid_db, dets)))
-
-
-def _run_all(tasks: list) -> list:
-    """``[task() for task in tasks]``, with several tasks in flight on a multi-core pool.
-
-    Up to ``_worker_count() + 1`` driver threads, made for this call and
-    joined before it returns, each run one task at a time in list order;
-    the extra driver keeps blocks queued while another driver collects its
-    counts.  The first failing task, in list order, raises; tasks not yet
-    started are dropped.
-    """
-    workers = _worker_count()
-    if workers < 2:
-        return [task() for task in tasks]
-    drivers = ThreadPoolExecutor(max_workers=min(workers + 1, len(tasks)),
-                                 thread_name_prefix="specsense-sweep")
-    try:
-        futures = [drivers.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-    finally:
-        drivers.shutdown(cancel_futures=True)
 
 
 def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float]) -> float:

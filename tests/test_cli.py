@@ -162,6 +162,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")] + flags) == 2
         assert "trials must be in [1000, 100000000]" in capsys.readouterr().err
 
+    # Before the check, calibrate printed the threshold and its P_F, then
+    # numpy rejected the seed.
+    @pytest.mark.parametrize("flags, keys", [
+        (["--seed", "-5"], {}),
+        ([], {"seed": -5}),
+    ], ids=["flag", "scenario-key"])
+    def test_negative_seed_is_config_error_before_any_output(
+            self, tmp_path, capsys, flags, keys):
+        path = write_scenario(tmp_path / "s.txt", **keys)
+        assert main(["calibrate", "--scenario", path] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error: seed must be >= 0, got -5" in err
+
+    # The grid is -4, -2, 0 dB.  Without the check, slope ran its whole
+    # escalating sweep before the fit found too few points.
+    @pytest.mark.parametrize("lo, hi", [(30, 10), (-2, 0)], ids=["reversed", "two-points"])
+    def test_slope_window_short_of_three_points_is_config_error(
+            self, tmp_path, monkeypatch, capsys, lo, hi):
+        from specsense import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept")
+
+        monkeypatch.setattr(cli, "sweep", refuse)
+        path = write_scenario(tmp_path / "s.txt", window_lo_db=lo, window_hi_db=hi)
+        assert main(["slope", "--scenario", path]) == 2
+        assert "must hold at least 3 grid points" in capsys.readouterr().err
+
     # calibrate builds no grid, so a missing check fails here without a
     # 4e301-point list.
     @pytest.mark.parametrize("text", ["schema = 1\nm = 10\nm = 100\n",
@@ -335,6 +364,16 @@ class TestConsoleEntry:
                               text=True, env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_starts_no_thread(self):
+        # The block pool is built at import; an executor starts its threads
+        # at its first submit.
+        code = ("import threading, specsense, specsense.cli; "
+                "print(threading.active_count())")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1"
 
     def test_module_invocation(self, tmp_path):
         path = write_scenario(tmp_path / "s.txt", mode="analytic",

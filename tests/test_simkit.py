@@ -110,6 +110,22 @@ class TestEstimatePoint:
         with pytest.raises(ValueError):
             estimate_point(cfg, "H0", 999, seed=1)
 
+    # Without the bound, 10^15 trials would plan ~1.5e10 blocks before the
+    # first draw; the stand-in plan fails the test at the first plan instead.
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 10 ** 15},
+        {"trials": simkit._MAX_TRIALS + 1},
+        {"trials": 1000, "min_events": 100, "max_trials": 10 ** 15},
+    ], ids=["trials", "trials-just-above-the-cap", "max-trials"])
+    def test_budget_above_the_cap_rejected_before_planning(self, monkeypatch, kwargs):
+        def refuse(total):
+            raise AssertionError(f"planned {total} trials")
+
+        monkeypatch.setattr(simkit, "_block_plan", refuse)
+        cfg = SchemeConfig.noncoop(10, 1.0, AvgSnr.from_db(40.0), alpha=0.05)
+        with pytest.raises(ValueError, match=r"trials must be"):
+            estimate_point(cfg, "H1", seed=1, **kwargs)
+
     def test_event_floor_escalation(self):
         lam = calibrate_lambda(10, 0.05)
         cfg = SchemeConfig.noncoop(10, lam, AvgSnr.from_db(25.0))  # pmd ~ 2.5e-3
@@ -197,6 +213,21 @@ class TestSweep:
         a = sweep(cfg, [0.0, 5.0], 10_000, seed=57)
         b = sweep(cfg, [0.0, 5.0], 10_000, seed=57)
         assert a == b
+
+    @pytest.mark.parametrize("grid", [[5.0, 0.0], [0.0, 0.0]], ids=["decreasing", "repeated"])
+    def test_unordered_grid_rejected_before_any_draw(self, monkeypatch, grid):
+        drawn = []
+        batch = simkit._batch_decisions
+
+        def spy(config, hypothesis, gen, n):
+            drawn.append(n)
+            return batch(config, hypothesis, gen, n)
+
+        monkeypatch.setattr(simkit, "_batch_decisions", spy)
+        cfg = SchemeConfig.noncoop(10, 1.0, 1.0, alpha=0.05)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            sweep(cfg, grid, 200_000, seed=1)
+        assert drawn == []
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
