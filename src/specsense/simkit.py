@@ -62,8 +62,8 @@ class _Noncoop:
 
     ``payload`` builds the scheme's parameters from a scenario's fields with
     a placeholder threshold; ``threshold`` returns them with the threshold
-    set so that the scheme's P_F equals alpha.  Decisions are per block,
-    True = present.
+    set so that the scheme's P_F equals alpha.  ``decisions`` returns a
+    block's count of "present" decisions.
     """
 
     variant = scenario = "noncoop"
@@ -83,11 +83,11 @@ class _Noncoop:
 
     # Products and sums are formed in place so that concurrent blocks stay
     # small; x *= c and x += 1 give the same bits as c * x and 1 + x.
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
         y = gen.chisquare(2 * p.m, n)
         if signal:
             y *= _one_plus_snr(avg, gen, n)
-        return y > p.lam
+        return int(np.count_nonzero(y > p.lam))
 
 
 class _Coop(_Noncoop):
@@ -113,21 +113,19 @@ class _Coop(_Noncoop):
     # Users report one at a time, and only the undecided trials draw the
     # next report: a trial is present once it has n_vote votes, absent once
     # its votes plus the users still to report fall short of n_vote.
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
         d = p.per_user
-        present = np.zeros(n, dtype=bool)
-        undecided = np.arange(n)
-        votes = np.zeros(n, dtype=np.int64)
+        present = 0
+        votes = np.zeros(n, dtype=np.int64)  # of the undecided trials
         for users_left in range(p.n_users - 1, -1, -1):
-            y = gen.chisquare(2 * d.m, undecided.size)
+            y = gen.chisquare(2 * d.m, votes.size)
             if signal:
-                y *= _one_plus_snr(avg, gen, undecided.size)
+                y *= _one_plus_snr(avg, gen, votes.size)
             votes += y > d.lam
             won = votes >= p.n_vote
-            present[undecided[won]] = True
-            still = ~won & (votes + users_left >= p.n_vote)
-            undecided, votes = undecided[still], votes[still]
-            if not undecided.size:
+            present += int(np.count_nonzero(won))
+            votes = votes[~won & (votes + users_left >= p.n_vote)]
+            if not votes.size:
                 break
         return present
 
@@ -155,21 +153,19 @@ class _Switching(_Noncoop):
     # Under H1 the states add in dwell order, and only the trials whose sum
     # is still <= lam draw the next state: every term is >= 0, so a trial
     # above lam stays above.
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
         if not signal:
             return super().decisions(p, signal, avg, gen, n)
-        present = np.zeros(n, dtype=bool)
-        undecided = np.arange(n)
-        y = np.zeros(n)
+        present = 0
+        y = np.zeros(n)  # running sums of the undecided trials
         for dwell in p.alloc:
-            energy = gen.chisquare(2 * dwell, undecided.size)
-            energy *= _one_plus_snr(avg, gen, undecided.size)
+            energy = gen.chisquare(2 * dwell, y.size)
+            energy *= _one_plus_snr(avg, gen, y.size)
             y += energy
-            above = y > p.lam
-            present[undecided[above]] = True
-            below = ~above
-            undecided, y = undecided[below], y[below]
-            if not undecided.size:
+            below = y <= p.lam
+            present += y.size - int(np.count_nonzero(below))
+            y = y[below]
+            if not y.size:
                 break
         return present
 
@@ -186,13 +182,13 @@ class _Selection(_Switching):
     def analytic(self, p, avg) -> tuple[float, float]:
         return pf_single(p.m, p.lam), avg_pmd_selection(p.m, p.lam, avg, p.q)
 
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> np.ndarray:
+    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
         y = gen.chisquare(2 * p.m, n)
         if signal:
             gain = draw_best_snr(avg, gen, n, p.q)
             gain += 1.0
             y *= gain
-        return y > p.lam
+        return int(np.count_nonzero(y > p.lam))
 
 
 #: The sensing schemes by ``SchemeConfig.variant`` and by scenario name.
@@ -306,8 +302,8 @@ def _check_increasing(grid: list[float]) -> None:
 
 
 def _batch_decisions(config: SchemeConfig, hypothesis: str,
-                     gen: np.random.Generator, n: int) -> np.ndarray:
-    """Vector of n present/absent decisions (True = present) for one scheme."""
+                     gen: np.random.Generator, n: int) -> int:
+    """How many of n trials of one scheme decide "present"."""
     if hypothesis not in ("H0", "H1"):
         raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
     return config.scheme.decisions(config.payload, hypothesis == "H1",
@@ -344,7 +340,7 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     def count(block: tuple[int, int]) -> int:
         block_idx, take = block
         gen = base.substream(block_idx).generator()
-        return int(_batch_decisions(config, hypothesis, gen, take).sum())
+        return _batch_decisions(config, hypothesis, gen, take)
 
     # Hits per (block_idx, take).  A complete block is the same draw at every
     # escalation step; a partial last block is drawn again at its new size.
