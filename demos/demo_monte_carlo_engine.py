@@ -1,7 +1,7 @@
 """The Monte Carlo engine: reproducibility, confidence intervals, slope fits.
 
-Estimates are built from 65536-trial blocks, each drawn from a counter-based
-Philox substream keyed by (seed, point, block).  That makes every number
+Estimates are built from 65536-trial blocks, each drawn from its own SFC64
+generator seeded by (seed, point, block).  That makes every number
 bit-exact reproducible and lets deep-tail points escalate their trial count
 without disturbing anything else.  The blocks of a point run on a thread pool
 sized to the CPU affinity, each escalation step reuses the complete blocks

@@ -2,11 +2,13 @@
 
 The received power under Rayleigh fading is exponentially distributed, so an
 "average SNR of gamma_bar" means instantaneous SNR ~ Exp(mean gamma_bar).
-The best of Q independent such states has the CDF (1 - e^{-x/gamma_bar})^Q,
-so it is drawn from one uniform instead of Q.  All sampling goes through the
-inverse-CDF transform of uniform draws from a counter-based Philox stream,
-which makes every draw reproducible from a (seed, stream_id) pair regardless
-of how work is scheduled.
+A fade is gamma_bar times a standard exponential, drawn by numpy's
+ziggurat.  The best of Q independent such states has the CDF
+(1 - e^{-x/gamma_bar})^Q, so it is drawn by inverse CDF from one uniform
+instead of Q fades.  Every generator is an SFC64 seeded from
+``SeedSequence(seed, spawn_key=(stream_id, *path))``, which makes every draw
+reproducible from (seed, stream_id, path) regardless of how work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class AvgSnr:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Reproducible counter-based random substream.
+    """Reproducible random substream.
 
     Identical (seed, stream_id, path) always yields the identical sample
     sequence.  ``substream`` derives statistically independent child streams
@@ -59,19 +61,15 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=int(self.seed),
                                     spawn_key=(int(self.stream_id),) + self.path)
-        return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+        return np.random.Generator(np.random.SFC64(ss))
 
 
 def draw_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
-    """Exponential(mean gamma_bar) SNR draws via inverse CDF of uniforms."""
+    """Exponential(mean gamma_bar) SNR draws: gamma_bar * standard_exponential."""
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    u = gen.random(size)
-    # u in [0, 1), so 1-u in (0, 1] and the log is finite.  The operations
-    # run in place, so a block holds one array instead of three.
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u *= -gamma_bar
-    return u
+    x = gen.standard_exponential(size)
+    x *= gamma_bar  # in place, so a block holds one array instead of two
+    return x
 
 
 def draw_best_snr(avg, gen: np.random.Generator, size, q: int) -> np.ndarray:

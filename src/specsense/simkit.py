@@ -5,15 +5,16 @@ scenario and variant names, payload type, threshold from alpha, analytic
 (pf, pmd) columns, per-block decisions and diversity order.
 
 Trials are vectorized in fixed-size blocks of 65536; block b of a point draws
-from the Philox substream (seed, stream_id, b), so an estimate is bit-exact
-reproducible for a given seed and total trial count no matter how blocks are
-scheduled, and results merge by plain integer-count addition.  Blocks run
-concurrently on a thread pool sized to the CPU affinity (numpy's generators
-and ufuncs release the GIL), and an escalating point keeps the counts of the
-blocks it has already drawn.  A sweep issues all of its points at once from
-a few driver threads, so the blocks of several points share the pool; each
-estimate still depends only on its own (seed, stream, trials), so no bit
-depends on how the points overlap.
+from its own SFC64 generator, seeded from (seed, stream_id, b) by
+``channel.RandomStream``, so an estimate is bit-exact reproducible for a given
+seed and total trial count no matter how blocks are scheduled.  A block
+returns its count of "present" decisions, and counts merge by integer
+addition.  Blocks run concurrently on a thread pool sized to the CPU
+affinity (numpy's generators and ufuncs release the GIL), and an escalating
+point keeps the counts of the blocks it has already drawn.  A sweep issues
+all of its points at once from a few driver threads, so the blocks of
+several points share the pool; each estimate still depends only on its own
+(seed, stream, trials), so no bit depends on how the points overlap.
 
 Both levels are needed.  One deep point escalates to many blocks, which only
 the block pool spreads over the cores; a sweep of many small points, each a
@@ -329,12 +330,15 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     fits.  Each step draws only the blocks that no
     earlier step has counted, so escalating to T trials gives the same bits
     as asking for T trials at once.  ``trials`` and ``max_trials`` are
-    checked against the budget bounds before any block is planned.
+    checked against the budget bounds, and with ``min_events`` against each
+    other, before any block is planned.
     """
     if not _MIN_TRIALS <= trials <= _MAX_TRIALS:
         raise ValueError(f"trials must be in [{_MIN_TRIALS}, {_MAX_TRIALS}], got {trials}")
     if max_trials > _MAX_TRIALS:
         raise ValueError(f"max_trials must be at most {_MAX_TRIALS}, got {max_trials}")
+    if min_events is not None and max_trials < trials:
+        raise ValueError(f"max_trials must be at least trials ({trials}), got {max_trials}")
     base = RandomStream(seed=seed, stream_id=stream_id)
 
     def count(block: tuple[int, int]) -> int:

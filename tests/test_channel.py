@@ -86,11 +86,21 @@ class TestRayleighSampling:
         assert (draw_snr(AvgSnr(0.5), gen, 10 ** 4) >= 0.0).all()
 
     @pytest.mark.parametrize("size", [1000, (500, 7)])
-    def test_array_draw_is_the_inverse_cdf_bit_for_bit(self, size):
+    def test_array_draw_is_the_scaled_standard_exponential_bit_for_bit(self, size):
         stream = RandomStream(seed=5, stream_id=2)
         got = draw_snr(AvgSnr(3.7), stream.generator(), size)
+        want = 3.7 * stream.generator().standard_exponential(size)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("size", [1000, (500, 7)])
+    def test_array_draw_is_the_inverse_cdf_bit_for_bit(self, size):
+        # The best-of-Q draw is the one left on the inverse CDF: one uniform
+        # per draw, in stream order, whatever the shape.
+        stream = RandomStream(seed=5, stream_id=2)
+        got = draw_best_snr(AvgSnr(3.7), stream.generator(), size, 3)
         u = stream.generator().random(size)
-        want = -3.7 * np.log1p(-u)
+        want = -3.7 * np.log(-np.expm1(np.log(u) / 3))
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -179,7 +189,7 @@ class TestBestStateSampling:
         # Same uniforms, two forms of the same inverse CDF.
         stream = RandomStream(seed=18)
         best = draw_best_snr(AvgSnr(3.7), stream.generator(), 10 ** 5, 1)
-        single = draw_snr(AvgSnr(3.7), stream.generator(), 10 ** 5)
+        single = -3.7 * np.log1p(-stream.generator().random(10 ** 5))
         assert np.allclose(best, single, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("q", [1, 4, 10])

@@ -11,6 +11,7 @@ import threading
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -116,7 +117,8 @@ class TestEstimatePoint:
         {"trials": 10 ** 15},
         {"trials": simkit._MAX_TRIALS + 1},
         {"trials": 1000, "min_events": 100, "max_trials": 10 ** 15},
-    ], ids=["trials", "trials-just-above-the-cap", "max-trials"])
+        {"trials": 10 ** 5, "min_events": 10 ** 9, "max_trials": 1000},
+    ], ids=["trials", "trials-just-above-the-cap", "max-trials", "max-trials-below-trials"])
     def test_budget_above_the_cap_rejected_before_planning(self, monkeypatch, kwargs):
         def refuse(total):
             raise AssertionError(f"planned {total} trials")
@@ -374,14 +376,19 @@ class TestDrawCounts:
 
 # Exact hit counts at 200 000 = 3 * 65536 + 3392 trials (three complete blocks
 # and a partial one), seed 2024, stream 3, 5 dB.  Any change to the draws, their
-# order or their arithmetic moves these integers.
+# order or their arithmetic moves these integers, and so may a numpy release:
+# numpy does not promise Generator streams across versions.
 GOLDEN_TRIALS = 200_000
 GOLDEN_HITS = {
-    ("noncoop", "H0"): 14033, ("noncoop", "H1"): 163924,
-    ("coop", "H0"): 8570, ("coop", "H1"): 195332,
-    ("switching", "H0"): 11547, ("switching", "H1"): 197564,
-    ("selection", "H0"): 11547, ("selection", "H1"): 199675,
+    ("noncoop", "H0"): 14010, ("noncoop", "H1"): 164392,
+    ("coop", "H0"): 8521, ("coop", "H1"): 195312,
+    ("switching", "H0"): 11522, ("switching", "H1"): 197581,
+    ("selection", "H0"): 11522, ("selection", "H1"): 199717,
 }
+GOLDEN_NOTE = ("golden counts were drawn with numpy 2.4.6, this run has "
+               f"numpy {np.__version__}; after a numpy upgrade, suspect numpy first")
+# Switching H1 has no exact miss yet (its analytic column is an asymptote).
+EXACT_MODEL_GOLDENS = sorted(set(GOLDEN_HITS) - {("switching", "H1")})
 
 
 GOLDEN_CONFIGS = {
@@ -429,13 +436,23 @@ class TestGoldenCounts:
         est = estimate_point(GOLDEN_CONFIGS[scheme], hypothesis, GOLDEN_TRIALS,
                              seed=2024, stream_id=3)
         assert est.trials == GOLDEN_TRIALS
-        assert est.events == GOLDEN_HITS[scheme, hypothesis]
+        assert est.events == GOLDEN_HITS[scheme, hypothesis], GOLDEN_NOTE
         assert est.value == GOLDEN_HITS[scheme, hypothesis] / GOLDEN_TRIALS
+
+    # The goldens are checked against the model, not only copied from the
+    # program: each count passes the exact two-sided binomial test.
+    @pytest.mark.parametrize("scheme, hypothesis", EXACT_MODEL_GOLDENS)
+    def test_counts_agree_with_the_exact_model(self, scheme, hypothesis):
+        config = GOLDEN_CONFIGS[scheme]
+        pf, pmd = config.scheme.analytic(config.payload, config.avg_snr)
+        p = pf if hypothesis == "H0" else 1.0 - pmd
+        hits = GOLDEN_HITS[scheme, hypothesis]
+        assert stats.binomtest(hits, GOLDEN_TRIALS, p).pvalue > 1e-6
 
     def test_escalated_point(self):
         est = escalated_deep_point()
-        assert est.trials == 10 ** 6
-        assert est.trials - est.events == 255
+        assert est.trials == 10 ** 6, GOLDEN_NOTE
+        assert est.trials - est.events == 205, GOLDEN_NOTE
 
     def test_escalation_equals_fixed_budget(self):
         est = escalated_deep_point()
