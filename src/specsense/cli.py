@@ -143,6 +143,11 @@ def analytic_columns(config: SchemeConfig, snr_db: float) -> tuple[float, float]
     exact switching values are the Talbot inversions in
     ``tests/reference/acceptance_refs.json``.  The other schemes' pmd is
     ``detector._faded_miss``'s exact fading average, or ConvergenceError.
+
+    The terms that do not depend on the SNR (the pf column, the threshold
+    side of the fading rule, the switching prefactor) are computed once per
+    operating point and reused at every SNR; each value has the same bits as
+    when it is computed afresh.
     """
     return config.scheme.analytic(config.payload, AvgSnr.from_db(snr_db))
 

@@ -9,11 +9,14 @@ construction.
 False alarm:  P_F = Q(M, lambda / 2)
 Detection:    P_D = Q(M, lambda / (2 (1 + gamma)))
 with Q the regularized upper incomplete gamma function.
-The faded miss comes from ``_faded_miss`` directly, not as 1 - P_D.
+The faded miss comes from ``_faded_miss`` directly, not as 1 - P_D.  The
+threshold side of its rule depends on (M, lambda) alone, so it is computed
+once per operating point and reused at every SNR; no value moves by a bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +38,29 @@ _ORDER = 20
 (_X20, _W20), (_X16, _W16) = (np.polynomial.legendre.leggauss(n) for n in (_ORDER, 16))
 _NODES = np.concatenate(((_X20 + 1.0) / 2.0, (_X16 + 1.0) / 2.0))
 _SEARCH = np.geomspace(1e-13, 800.0, 320)
+with np.errstate(over="ignore"):
+    _EXPM1_SEARCH = np.expm1(_SEARCH)  # inf at the top, where the fading CDF is 1
 _DROPS, _SPAN = np.array([1.5, 5.0, 11.0, 19.0, 29.0, 41.0, 55.0]), 60.0
 _KNEE, _BULK = 2.0 ** np.arange(-2, 7), np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
 _TOL = 1e-10
+# Operating points each SNR-independent cache keeps; fig1-fig3 together fill 12.
+_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _threshold_side(m: int, lam: float):
+    """The terms of ``_faded_miss`` that do not depend on the SNR.
+
+    log(lam/2), ln Gamma(M), the Gamma factor M log g - g on ``_SEARCH``
+    and the bulk edges, the two arrays read-only.
+    """
+    log_half = math.log(lam / 2.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_g = log_half - _SEARCH
+        gamma_part = m * log_g - np.exp(log_g)
+    bulk = log_half - math.log(m) + _BULK / math.sqrt(m)
+    gamma_part.flags.writeable = bulk.flags.writeable = False
+    return log_half, math.lgamma(m), gamma_part, bulk
 
 
 def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
@@ -49,16 +72,20 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     (the range 60 nats down), where (e^u - 1)/gamma_bar is 2^k, and around
     the Gamma bulk in units of 1/sqrt(M).  The order-16 rule's distance from
     the order-20 value is the error estimate.  A result below the smallest
-    double reads 0.0; one that rounding lifts above 1 reads 1.0.
+    double reads 0.0; one that rounding lifts above 1 reads 1.0.  The terms
+    that depend on (M, lam) alone come from ``_threshold_side``, computed
+    once per operating point; only the fading factor, the peak and panel
+    search and the panels are formed at each SNR.
     """
-    log_half, scale = math.log(lam / 2.0), -1.0 / gamma_bar
+    log_half, ln_gamma_m, gamma_part, bulk = _threshold_side(m, lam)
+    scale = -1.0 / gamma_bar
 
     def log_integrand(u):  # less ln Gamma(M), which the result adds back
         log_g = log_half - u
         return m * log_g - np.exp(log_g) + q * np.log(-np.expm1(np.expm1(u) * scale))
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        values = log_integrand(_SEARCH)
+        values = gamma_part + q * np.log(-np.expm1(_EXPM1_SEARCH * scale))
         top = int(values.argmax())  # finite: at u = 800 the fading CDF is 1
         peak = float(values[top])
         drop = peak - values
@@ -67,7 +94,7 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
         level = _DROPS.searchsorted(drop[first:last + 1])
         edges = np.concatenate((
             (lo, hi, _SEARCH[top]), _SEARCH[first + 1:last + 1][level[1:] != level[:-1]],
-            log_half - math.log(m) + _BULK / math.sqrt(m),
+            bulk,
             np.log1p(gamma_bar * _KNEE)))
         edges = np.sort(edges[(edges >= lo) & (edges <= hi)])  # a repeat adds width 0
         widths = (edges[1:] - edges[:-1])[:, None]
@@ -77,7 +104,7 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     if not error <= _TOL * total:
         raise ConvergenceError(f"fading average error estimate {error / total:.1e} at "
                                f"M={m}, lam={lam}, gamma_bar={gamma_bar}, Q={q}")
-    return min(1.0, math.exp(peak - math.lgamma(m) + math.log(total)))
+    return min(1.0, math.exp(peak - ln_gamma_m + math.log(total)))
 
 
 @dataclass(frozen=True)

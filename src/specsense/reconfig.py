@@ -10,13 +10,14 @@ states.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from scipy import special as _sp
 
 from .channel import AvgSnr
-from .detector import DetectorParams, GainSummary, _faded_miss
+from .detector import _CACHE_SIZE, DetectorParams, GainSummary, _faded_miss
 from .specfun import ConvergenceError, _count, harmonic, ln_gamma
 
 # Beyond z = 600, E_l(z) nears the smallest double and a continued fraction
@@ -81,19 +82,26 @@ def _dwell_average(l: int, gamma_bar: float) -> float:
     raise ConvergenceError(f"dwell-average continued fraction stalled at l={l}, z={z}")
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _switching_prefactor(params: ReconfigParams):
+    """log(lam^M / Gamma(M+1)) and the distinct dwells as (l, multiplicity)."""
+    m, alloc = params.m, params.alloc
+    return (m * math.log(params.lam) - ln_gamma(m + 1.0),
+            tuple((l, alloc.count(l)) for l in sorted(set(alloc))))
+
+
 def avg_pmd_switching(params: ReconfigParams, avg) -> float:
     """Rayleigh-averaged switching miss probability from the asymptote.
 
     lam^M/Gamma(M+1) times the closed-form dwell averages
     E[(1+gamma_j)^{-l_j}]: the raw (unclamped) asymptote, formed in the log
     domain; past the double range (M >= 1000 at moderate SNR) the call
-    raises ConvergenceError.
+    raises ConvergenceError.  The prefactor and the dwell multiplicities are
+    computed once per (M, Q, lam).
     """
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    m, alloc = params.m, params.alloc
-    log_val = m * math.log(params.lam) - ln_gamma(m + 1.0)
-    log_val += sum(alloc.count(l) * math.log(_dwell_average(l, gamma_bar))
-                   for l in sorted(set(alloc)))
+    log_val, dwells = _switching_prefactor(params)
+    log_val += sum(count * math.log(_dwell_average(l, gamma_bar)) for l, count in dwells)
     if log_val > _LOG_MAX:
         raise ConvergenceError(f"switching asymptote e^{log_val:.1f} exceeds the double range")
     return math.exp(log_val)

@@ -36,6 +36,7 @@ the max-of-Q law (``channel.draw_best_snr``) with one uniform, not Q fades.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import AvgSnr, RandomStream, draw_best_snr, draw_snr
-from .detector import DetectorParams, _faded_miss, calibrate_lambda, pf_single
+from .detector import _CACHE_SIZE, DetectorParams, _faded_miss, calibrate_lambda, pf_single
 from .fusion import FusionParams, calibrate_local_lambda_global, global_pf, global_pmd
 from .reconfig import ReconfigParams, avg_pmd_selection, avg_pmd_switching
 
@@ -56,15 +57,23 @@ _MIN_TRIALS = 1000  # the smallest trial budget of an estimate or a scenario
 _MAX_TRIALS = 10 ** 8  # the largest, and the escalation cap
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _pf_column(scheme, p) -> float:
+    """``scheme.pf(p)``: the false-alarm column does not depend on the SNR."""
+    return scheme.pf(p)
+
+
 # The scheme methods call the analytic functions through this module's
-# globals at call time, so a wrapper installed on those bindings sees them.
+# globals at call time, so a wrapper installed on those bindings sees them
+# (the pf functions only when ``_pf_column`` misses).
 class _Noncoop:
     """One user senses M samples.  Each scheme below overrides what differs.
 
     ``payload`` builds the scheme's parameters from a scenario's fields with
     a placeholder threshold; ``threshold`` returns them with the threshold
-    set so that the scheme's P_F equals alpha.  ``decisions`` returns a
-    block's count of "present" decisions.
+    set so that the scheme's P_F equals alpha.  ``analytic`` takes the P_F
+    column from ``pf`` once per payload.  ``decisions`` returns a block's
+    count of "present" decisions.
     """
 
     variant = scenario = "noncoop"
@@ -79,8 +88,11 @@ class _Noncoop:
     def diversity(self, p) -> float:
         return 1.0
 
+    def pf(self, p) -> float:
+        return pf_single(p.m, p.lam)
+
     def analytic(self, p, avg) -> tuple[float, float]:
-        return pf_single(p.m, p.lam), _faded_miss(p.m, p.lam, AvgSnr.coerce(avg).gamma_bar)
+        return _pf_column(self, p), _faded_miss(p.m, p.lam, AvgSnr.coerce(avg).gamma_bar)
 
     # Products and sums are formed in place so that concurrent blocks stay
     # small; x *= c and x += 1 give the same bits as c * x and 1 + x.
@@ -108,8 +120,11 @@ class _Coop(_Noncoop):
     def diversity(self, p) -> float:
         return float(p.n_users - p.n_vote + 1)
 
+    def pf(self, p) -> float:
+        return global_pf(p)
+
     def analytic(self, p, avg) -> tuple[float, float]:
-        return global_pf(p), global_pmd(p, avg)
+        return _pf_column(self, p), global_pmd(p, avg)
 
     # Users report one at a time, and only the undecided trials draw the
     # next report: a trial is present once it has n_vote votes, absent once
@@ -149,7 +164,7 @@ class _Switching(_Noncoop):
 
     def analytic(self, p, avg) -> tuple[float, float]:
         pmd = min(1.0, avg_pmd_switching(p, avg))
-        return pf_single(p.m, p.lam), pmd
+        return _pf_column(self, p), pmd
 
     # Under H1 the states add in dwell order, and only the trials whose sum
     # is still <= lam draw the next state: every term is >= 0, so a trial
@@ -181,7 +196,7 @@ class _Selection(_Switching):
     variant, scenario = "reconfig-selection", "selection"
 
     def analytic(self, p, avg) -> tuple[float, float]:
-        return pf_single(p.m, p.lam), avg_pmd_selection(p.m, p.lam, avg, p.q)
+        return _pf_column(self, p), avg_pmd_selection(p.m, p.lam, avg, p.q)
 
     def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
         y = gen.chisquare(2 * p.m, n)

@@ -4,7 +4,9 @@ M up to 10^4, N and Q up to 64, alpha in [1e-12, 1 - 1e-12] and -40 to
 70 dB, for the noncoop, coop and selection schemes.  Hypothesis runs
 derandomized with a bounded example count, so every run checks the same
 cases.  Switching is left out: its analytic column is an asymptote, not the
-miss probability.
+miss probability.  The terms that do not depend on the SNR are cached per
+operating point; a repeated call must give the same bits, and no cache may
+grow past its bound.
 """
 
 import tempfile
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 
 from specsense.cli import ScenarioFile, analytic_columns, build_config, main
 from specsense.specfun import ConvergenceError
+
+from .test_analytic_caches import caches
 
 SCHEMES = ("noncoop", "coop", "selection")
 M = st.integers(1, 10 ** 4)
@@ -47,6 +51,11 @@ def test_analytic_miss_is_a_probability_that_does_not_rise_with_snr(sc, snrs):
         return  # a refusal is allowed; any other exception fails the test
     assert 0.0 <= pf <= 1.0
     assert 0.0 <= pmd_hi <= pmd_lo <= 1.0
+    again = analytic_columns(config, lo)
+    assert [float.hex(v) for v in again] == [float.hex(pf), float.hex(pmd_lo)]
+    for cache in caches().values():
+        info = cache.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 @st.composite
