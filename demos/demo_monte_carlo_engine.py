@@ -1,13 +1,15 @@
 """The Monte Carlo engine: reproducibility, confidence intervals, slope fits.
 
 Estimates are built from 65536-trial blocks, each drawn from its own SFC64
-generator seeded by (seed, point, block).  That makes every number
+generator seeded by (seed, stream, block).  That makes every number
 bit-exact reproducible and lets deep-tail points escalate their trial count
-without disturbing anything else.  The blocks of a point run on a thread pool
-sized to the CPU affinity, each escalation step reuses the complete blocks
-already counted, and a sweep runs its points side by side on a few driver
-threads, their blocks sharing that one pool; the estimates keep the same bits
-either way.
+without disturbing anything else.  Blocks run on a thread pool sized to the
+CPU affinity, and each escalation step reuses the complete blocks already
+counted.  All points of a sweep share one stream: each trial is drawn once
+and counted at every SNR of the grid through its critical SNR, so a point's
+bits depend on (seed, block, take) and on the grid's first and last SNR.
+Per-point confidence intervals are unchanged, but the errors along a curve
+are correlated.
 
 Run:  python demos/demo_monte_carlo_engine.py
 """

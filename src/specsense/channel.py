@@ -88,5 +88,8 @@ def draw_best_snr(avg, gen: np.random.Generator, size, q: int) -> np.ndarray:
     np.expm1(u, out=u)
     np.negative(u, out=u)
     np.log(u, out=u)
-    u *= -gamma_bar
+    # 0 - log(.) rather than -log(.): u = 0 then gives +0, not -0, so a zero
+    # fade keeps its sign through a product or a division.
+    np.subtract(0.0, u, out=u)
+    u *= gamma_bar
     return u

@@ -2,36 +2,44 @@
 
 Each sensing scheme is described once, by one object in ``SCHEMES``: its
 scenario and variant names, payload type, threshold from alpha, analytic
-(pf, pmd) columns, per-block decisions and diversity order.
+(pf, pmd) columns, per-block draws and diversity order.
 
-Trials are vectorized in fixed-size blocks of 65536; block b of a point draws
-from its own SFC64 generator, seeded from (seed, stream_id, b) by
-``channel.RandomStream``, so an estimate is bit-exact reproducible for a given
-seed and total trial count no matter how blocks are scheduled.  A block
-returns its count of "present" decisions, and counts merge by integer
-addition.  Blocks run concurrently on a thread pool sized to the CPU
-affinity (numpy's generators and ufuncs release the GIL), and an escalating
-point keeps the counts of the blocks it has already drawn.  A sweep issues
-all of its points at once from a few driver threads, so the blocks of
-several points share the pool; each estimate still depends only on its own
-(seed, stream, trials), so no bit depends on how the points overlap.
+Trials are vectorized in fixed-size blocks of 65536; block b of a stream
+draws from its own SFC64 generator, seeded from (seed, stream_id, b) by
+``channel.RandomStream``, so an estimate is bit-exact reproducible for a
+given seed and total trial count no matter how blocks are scheduled.  A
+block returns its counts of "present" decisions, and counts merge by
+integer addition.  Blocks run concurrently on a thread pool sized to the
+CPU affinity (numpy's generators and ufuncs release the GIL), and an
+escalating point keeps the counts of the blocks it has already drawn.  The
+pool is built at import, which starts no thread: an executor starts its
+threads at its first submit.
 
-Both levels are needed.  One deep point escalates to many blocks, which only
-the block pool spreads over the cores; a sweep of many small points, each a
-single block, keeps the cores busy only through its drivers.  The block pool
-is built at import, which starts no thread: an executor starts its threads
-at its first submit.
+One set of H1 draws serves a whole SNR grid (common random numbers).  A
+trial's energy statistics and unit-mean fades do not depend on the average
+SNR gamma_bar; only the signal term grows with it, so each H1 trial has a
+critical SNR c and decides "present" exactly when c < gamma_bar.  A block
+sorts its trials' c once and counts every grid point by binary search.  All
+points of a sweep therefore draw from one stream, and a point's bits depend
+on (seed, block, take) and on the grid's first and last SNR, which bound
+the draws (below).  Each point is still a binomial count of independent
+trials, so its confidence interval is unchanged, but the errors of the
+points along one curve are positively correlated, and at equal trial counts
+the estimated curve cannot rise.
 
 Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
 dimension convention), which is distributionally identical to summing squared
 per-sample draws and two orders of magnitude faster.
 
-A trial draws only what can still change its decision.  Cooperative users
-report one at a time, and a trial stops once its vote is settled; switching
-states add in dwell order (the equal split of M over Q), and a trial stops
-once its sum passes the threshold; selection draws the best state's SNR from
-the max-of-Q law (``channel.draw_best_snr``) with one uniform, not Q fades.
+A trial draws only what can still change its decision anywhere on the grid.
+Cooperative users report one at a time, and a trial stops once its vote is
+settled at every grid SNR: present at the first, or short of n votes at the
+last; switching states add in dwell order (the equal split of M over Q), and
+a trial stops once it is present at the first grid SNR; selection draws the
+best state's fade from the max-of-Q law (``channel.draw_best_snr``) with one
+uniform, not Q fades.  Under H0 no fade is drawn, and a trial decides
+present when its energy exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -63,6 +71,21 @@ def _pf_column(scheme, p) -> float:
     return scheme.pf(p)
 
 
+def _critical_snr(lam: float, energy, weighted, out=None) -> np.ndarray:
+    """(lam - energy) / weighted: the average SNR above which a trial reads present.
+
+    A trial decides present at gamma_bar when energy + gamma_bar * weighted >
+    lam, with ``energy`` its chi-square sum and ``weighted`` the sum of each
+    chi-square times its unit-mean fade.  A zero weight gives -inf (present at
+    every SNR) or +inf (absent at every one); energy == lam with a zero weight
+    gives 0/0, set to +inf, since that trial too reads absent at every SNR.
+    """
+    out = np.subtract(lam, energy, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out /= weighted
+    return np.fmin(out, np.inf, out=out)  # fmin maps NaN to the other operand
+
+
 # The scheme methods call the analytic functions through this module's
 # globals at call time, so a wrapper installed on those bindings sees them
 # (the pf functions only when ``_pf_column`` misses).
@@ -72,8 +95,12 @@ class _Noncoop:
     ``payload`` builds the scheme's parameters from a scenario's fields with
     a placeholder threshold; ``threshold`` returns them with the threshold
     set so that the scheme's P_F equals alpha.  ``analytic`` takes the P_F
-    column from ``pf`` once per payload.  ``decisions`` returns a block's
-    count of "present" decisions.
+    column from ``pf`` once per payload.  ``false_alarms`` counts a block's
+    "present" decisions under H0.  ``critical_snrs`` draws a block under H1
+    for a grid of average SNRs from ``lo`` to ``hi``: it returns how many
+    trials it found present at every SNR of the grid, and the critical SNR
+    of each trial it has not settled (``_critical_snr``); a trial it found
+    absent at every SNR of the grid is in neither.
     """
 
     variant = scenario = "noncoop"
@@ -94,17 +121,29 @@ class _Noncoop:
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), _faded_miss(p.m, p.lam, AvgSnr.coerce(avg).gamma_bar)
 
-    # Products and sums are formed in place so that concurrent blocks stay
-    # small; x *= c and x += 1 give the same bits as c * x and 1 + x.
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
-        y = gen.chisquare(2 * p.m, n)
-        if signal:
-            y *= _one_plus_snr(avg, gen, n)
-        return int(np.count_nonzero(y > p.lam))
+    def false_alarms(self, p, gen, n: int) -> int:
+        return int(np.count_nonzero(gen.chisquare(2 * p.m, n) > p.lam))
+
+    def fade(self, p, gen, size) -> np.ndarray:
+        """Unit-mean fades of the window's one antenna state."""
+        return draw_snr(1.0, gen, size)
+
+    # Products are formed in place so that concurrent blocks stay small.
+    def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
+        energy = gen.chisquare(2 * p.m, n)
+        weighted = self.fade(p, gen, n)
+        weighted *= energy
+        return 0, _critical_snr(p.lam, energy, weighted, out=energy)
 
 
 class _Coop(_Noncoop):
-    """N users, n-out-of-N fusion; the threshold holds the global level alpha."""
+    """N users, n-out-of-N fusion; the threshold holds the global level alpha.
+
+    Under H1 a user votes present above its own critical SNR, so a trial's
+    critical SNR is the n-th smallest of its users'.  Under H0 a user votes
+    present when its energy exceeds lam, so lam minus the energy plays that
+    part with the one SNR 0.
+    """
 
     variant = scenario = "coop"
     payload_type = FusionParams
@@ -126,24 +165,49 @@ class _Coop(_Noncoop):
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), global_pmd(p, avg)
 
-    # Users report one at a time, and only the undecided trials draw the
-    # next report: a trial is present once it has n_vote votes, absent once
-    # its votes plus the users still to report fall short of n_vote.
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
+    def false_alarms(self, p, gen, n: int) -> int:
         d = p.per_user
-        present = 0
-        votes = np.zeros(n, dtype=np.int64)  # of the undecided trials
+
+        def user(size):
+            energy = gen.chisquare(2 * d.m, size)
+            return np.subtract(d.lam, energy, out=energy)
+
+        settled, c = self._vote(p, user, 0.0, 0.0, n)
+        return settled + int(np.count_nonzero(c < 0.0))
+
+    def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
+        def user(size):
+            return super(_Coop, self).critical_snrs(p.per_user, lo, hi, gen, size)[1]
+
+        return self._vote(p, user, lo, hi, n)
+
+    # Users report one at a time, and only the unsettled trials draw the next
+    # report.  top[k] holds each such trial's (k+1)-th smallest user value so
+    # far, so top[-1] is the n-th smallest: the trial is present at every SNR
+    # of [lo, hi] once top[-1] < lo, and absent at every one once its values
+    # below hi plus the users still to report fall short of n_vote, that is
+    # once top[n_vote - users_left - 1] >= hi.
+    @staticmethod
+    def _vote(p, user, lo: float, hi: float, n: int):
+        settled = 0
+        top = [np.full(n, np.inf) for _ in range(p.n_vote)]
         for users_left in range(p.n_users - 1, -1, -1):
-            y = gen.chisquare(2 * d.m, votes.size)
-            if signal:
-                y *= _one_plus_snr(avg, gen, votes.size)
-            votes += y > d.lam
-            won = votes >= p.n_vote
-            present += int(np.count_nonzero(won))
-            votes = votes[~won & (votes + users_left >= p.n_vote)]
-            if not votes.size:
+            c = user(top[0].size)
+            for k in range(p.n_vote - 1):  # insert c; the larger value moves on
+                smaller = np.minimum(top[k], c)
+                np.maximum(top[k], c, out=c)
+                top[k] = smaller
+            np.minimum(top[-1], c, out=top[-1])
+            del c  # so that the next user's draws are not made beside it
+            won = top[-1] < lo
+            keep = ~won
+            if users_left < p.n_vote:  # it needs that many values below hi
+                keep &= top[p.n_vote - users_left - 1] < hi
+            settled += int(np.count_nonzero(won))
+            top = [t[keep] for t in top]
+            if not top[0].size:
                 break
-        return present
+        return settled, top[-1]
 
 
 class _Switching(_Noncoop):
@@ -166,45 +230,43 @@ class _Switching(_Noncoop):
         pmd = min(1.0, avg_pmd_switching(p, avg))
         return _pf_column(self, p), pmd
 
-    # Under H1 the states add in dwell order, and only the trials whose sum
-    # is still <= lam draw the next state: every term is >= 0, so a trial
-    # above lam stays above.
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
-        if not signal:
-            return super().decisions(p, signal, avg, gen, n)
-        present = 0
-        y = np.zeros(n)  # running sums of the undecided trials
+    # Under H1 the states add in dwell order, and only the trials not yet
+    # present at lo draw the next state: every term is >= 0, so a trial's
+    # critical SNR only falls as states add.
+    def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
+        settled = 0
+        energy, weighted = np.zeros(n), np.zeros(n)  # running sums of the unsettled trials
         for dwell in p.alloc:
-            energy = gen.chisquare(2 * dwell, y.size)
-            energy *= _one_plus_snr(avg, gen, y.size)
-            y += energy
-            below = y <= p.lam
-            present += y.size - int(np.count_nonzero(below))
-            y = y[below]
-            if not y.size:
+            x = gen.chisquare(2 * dwell, energy.size)
+            fade = self.fade(p, gen, energy.size)
+            fade *= x
+            energy += x
+            weighted += fade
+            keep = _critical_snr(p.lam, energy, weighted, out=x) >= lo
+            del x, fade  # so that a block holds at most four arrays
+            settled += keep.size - int(np.count_nonzero(keep))
+            energy = energy[keep]
+            weighted = weighted[keep]
+            if not energy.size:
                 break
-        return present
+        return settled, _critical_snr(p.lam, energy, weighted)
 
 
 class _Selection(_Switching):
     """One user senses the whole window on the best of Q antenna states.
 
-    Under H1 the best state's SNR is one draw from its own law,
-    (1 - e^{-x/gamma_bar})^Q, not the maximum of Q fades.
+    Under H1 the best state's fade is one draw from its own law,
+    (1 - e^{-x})^Q, not the maximum of Q fades.
     """
 
     variant, scenario = "reconfig-selection", "selection"
+    critical_snrs = _Noncoop.critical_snrs  # one window, on the best state
 
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), avg_pmd_selection(p.m, p.lam, avg, p.q)
 
-    def decisions(self, p, signal: bool, avg, gen, n: int) -> int:
-        y = gen.chisquare(2 * p.m, n)
-        if signal:
-            gain = draw_best_snr(avg, gen, n, p.q)
-            gain += 1.0
-            y *= gain
-        return int(np.count_nonzero(y > p.lam))
+    def fade(self, p, gen, size) -> np.ndarray:
+        return draw_best_snr(1.0, gen, size, p.q)
 
 
 #: The sensing schemes by ``SchemeConfig.variant`` and by scenario name.
@@ -317,20 +379,89 @@ def _check_increasing(grid: list[float]) -> None:
         raise ValueError("SNR grid must be strictly increasing")
 
 
-def _batch_decisions(config: SchemeConfig, hypothesis: str,
-                     gen: np.random.Generator, n: int) -> int:
-    """How many of n trials of one scheme decide "present"."""
-    if hypothesis not in ("H0", "H1"):
-        raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
-    return config.scheme.decisions(config.payload, hypothesis == "H1",
-                                   config.avg_snr, gen, n)
+def _batch_decisions(config: SchemeConfig, gammas: np.ndarray | None,
+                     gen: np.random.Generator, n: int) -> np.ndarray:
+    """How many of n trials of one scheme decide "present".
+
+    Under H0 (``gammas`` None) one count; under H1 one count per average SNR
+    of the strictly increasing linear grid ``gammas``, from one sort of the
+    trials' critical SNRs.
+    """
+    scheme, p = config.scheme, config.payload
+    if gammas is None:
+        return np.array([scheme.false_alarms(p, gen, n)])
+    settled, c = scheme.critical_snrs(p, gammas[0], gammas[-1], gen, n)
+    c.sort()
+    return settled + np.searchsorted(c, gammas)
 
 
-def _one_plus_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
-    """1 + gamma for an array of fading draws, formed in the draw's own array."""
-    gain = draw_snr(avg, gen, size)
-    gain += 1.0
-    return gain
+class _Stream:
+    """The blocks of one substream, each counted at every point it serves.
+
+    ``gammas`` is the H1 grid, or None for the one H0 point.  With
+    ``min_events`` set, each point escalates on its own counts.
+    """
+
+    def __init__(self, config: SchemeConfig, gammas, seed: int, stream_id: int,
+                 min_events: int | None):
+        self.config, self.gammas, self.min_events = config, gammas, min_events
+        self.base = RandomStream(seed=seed, stream_id=stream_id)
+        # Counts per (block_idx, take).  A complete block is the same draw at
+        # every escalation step; a partial last block is drawn again at its
+        # new size.
+        self.counted: dict[tuple[int, int], np.ndarray] = {}
+
+    @property
+    def points(self) -> int:
+        return 1 if self.gammas is None else len(self.gammas)
+
+    def count(self, block: tuple[int, int]) -> np.ndarray:
+        block_idx, take = block
+        gen = self.base.substream(block_idx).generator()
+        return _batch_decisions(self.config, self.gammas, gen, take)
+
+    def hits(self, total: int) -> np.ndarray:
+        return sum(self.counted[block] for block in _block_plan(total))
+
+
+def _estimate(streams: list[_Stream], trials: int, max_trials: int) -> list[list[McEstimate]]:
+    """Every point of every stream, from ``trials`` trials or escalated.
+
+    A point short of its stream's ``min_events`` "absent" decisions
+    escalates tenfold, capped at ``max_trials``.  Each round draws, in one
+    map over the block pool, only the blocks that no earlier round has
+    counted, so escalating to T trials gives the same bits as asking for T
+    trials at once.
+    """
+    totals = [[trials] * stream.points for stream in streams]
+    while True:
+        todo = list(dict.fromkeys(
+            (stream, block) for stream, ts in zip(streams, totals)
+            for total in sorted(set(ts)) for block in _block_plan(total)
+            if block not in stream.counted))
+        for (stream, block), counts in zip(todo, _map(lambda job: job[0].count(job[1]), todo)):
+            stream.counted[block] = counts
+        hits = [{total: stream.hits(total) for total in set(ts)}
+                for stream, ts in zip(streams, totals)]
+        grew = False
+        for stream, ts, at in zip(streams, totals, hits):
+            for i, total in enumerate(ts):
+                if (stream.min_events is not None and total < max_trials
+                        and total - at[total][i] < stream.min_events):
+                    ts[i] = min(total * 10, max_trials)
+                    grew = True
+        if not grew:
+            return [[McEstimate.from_counts(int(at[total][i]), total) for i, total in enumerate(ts)]
+                    for ts, at in zip(totals, hits)]
+
+
+def _check_budget(trials: int, min_events: int | None, max_trials: int) -> None:
+    if not _MIN_TRIALS <= trials <= _MAX_TRIALS:
+        raise ValueError(f"trials must be in [{_MIN_TRIALS}, {_MAX_TRIALS}], got {trials}")
+    if max_trials > _MAX_TRIALS:
+        raise ValueError(f"max_trials must be at most {_MAX_TRIALS}, got {max_trials}")
+    if min_events is not None and max_trials < trials:
+        raise ValueError(f"max_trials must be at least trials ({trials}), got {max_trials}")
 
 
 def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int,
@@ -342,42 +473,20 @@ def estimate_point(config: SchemeConfig, hypothesis: str, trials: int, seed: int
     order.  When ``min_events`` is given, the trial count escalates tenfold
     (capped at ``max_trials``) until that many "absent" decisions have been
     seen, which keeps deep-tail missed-detection points eligible for slope
-    fits.  Each step draws only the blocks that no
-    earlier step has counted, so escalating to T trials gives the same bits
-    as asking for T trials at once.  ``trials`` and ``max_trials`` are
-    checked against the budget bounds, and with ``min_events`` against each
-    other, before any block is planned.
+    fits.  Each step draws only the blocks that no earlier step has counted,
+    so escalating to T trials gives the same bits as asking for T trials at
+    once.  An H1 estimate is the one point of a sweep over the config's own
+    SNR.  ``trials`` and ``max_trials`` are checked against the budget
+    bounds, and with ``min_events`` against each other, before any block is
+    planned.
     """
-    if not _MIN_TRIALS <= trials <= _MAX_TRIALS:
-        raise ValueError(f"trials must be in [{_MIN_TRIALS}, {_MAX_TRIALS}], got {trials}")
-    if max_trials > _MAX_TRIALS:
-        raise ValueError(f"max_trials must be at most {_MAX_TRIALS}, got {max_trials}")
-    if min_events is not None and max_trials < trials:
-        raise ValueError(f"max_trials must be at least trials ({trials}), got {max_trials}")
-    base = RandomStream(seed=seed, stream_id=stream_id)
-
-    def count(block: tuple[int, int]) -> int:
-        block_idx, take = block
-        gen = base.substream(block_idx).generator()
-        return _batch_decisions(config, hypothesis, gen, take)
-
-    # Hits per (block_idx, take).  A complete block is the same draw at every
-    # escalation step; a partial last block is drawn again at its new size.
-    counted: dict[tuple[int, int], int] = {}
-
-    def run(total: int) -> int:
-        plan = _block_plan(total)
-        todo = [block for block in plan if block not in counted]
-        counted.update(zip(todo, _map(count, todo, _pool)))
-        return sum(counted[block] for block in plan)
-
-    trials = int(trials)
-    hits = run(trials)
-    if min_events is not None:
-        while trials - hits < min_events and trials < max_trials:
-            trials = min(trials * 10, int(max_trials))
-            hits = run(trials)
-    return McEstimate.from_counts(hits, trials)
+    _check_budget(trials, min_events, max_trials)
+    if hypothesis not in ("H0", "H1"):
+        raise ValueError(f"hypothesis must be 'H0' or 'H1', got {hypothesis!r}")
+    gammas = None if hypothesis == "H0" else np.array([config.avg_snr.gamma_bar])
+    [[est]] = _estimate([_Stream(config, gammas, seed, stream_id, min_events)],
+                        int(trials), int(max_trials))
+    return est
 
 
 def _block_plan(total: int) -> list[tuple[int, int]]:
@@ -414,15 +523,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool_in_child)
 
 
-def _map(fn, items, pool: ThreadPoolExecutor) -> list:
-    """``[fn(x) for x in items]``, on ``pool`` when that can help.
+def _map(fn, items) -> list:
+    """``[fn(x) for x in items]``, on the block pool when that can help.
 
     Results come in list order: the first failing item in that order
     raises, and items not yet started are cancelled.
     """
     if len(items) < 2 or _worker_count() < 2:
         return [fn(x) for x in items]
-    return list(pool.map(fn, items))
+    return list(_pool.map(fn, items))
 
 
 def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
@@ -431,36 +540,31 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
 
     The template's threshold is held constant across the grid: alpha fixes
     lambda independent of the SNR, so it is set once, when the config is
-    built.  Point i uses substream i+1; the H0 false-alarm estimate uses
-    substream 0 and is attached to every point.
+    built.  All points share substream 1: each block is drawn once and
+    counted at every grid point, so a point's bits depend on (seed, block,
+    take) and on the grid's first and last SNR.  A one-point sweep's point
+    equals ``estimate_point(config, "H1", ..., stream_id=1)`` at that SNR.
+    The H0 false-alarm estimate uses substream 0 and is attached to every
+    point.  Per-point confidence intervals are those of independent
+    estimates, but the errors along the curve are correlated.
 
     Pass ``min_events`` (``_MIN_EVENTS`` for slope fits) to escalate deep-tail points until
-    they carry enough missed-detection events for slope fitting; leave it
-    None for fixed-budget figure exports.
+    they carry enough missed-detection events for slope fitting; each point
+    escalates on its own counts.  Leave it None for fixed-budget figure
+    exports.
 
-    The H0 estimate and every point's ``estimate_point`` run on up to
-    ``_worker_count() + 1`` driver threads, made for this call and joined
-    before it returns, so one point's blocks queue on the block pool while
-    another's run; the extra driver keeps blocks queued while another
-    collects its counts.  The curve has the same bits as issuing the
-    estimates one by one.
+    The H0 and H1 blocks of each round go to the block pool in one map.
     """
     snr_grid_db = [float(s) for s in snr_grid_db]
     if not snr_grid_db:
         raise ValueError("SNR grid must be nonempty")
-    _check_increasing(snr_grid_db)  # before any estimate runs
-
-    def estimate(stream_id: int) -> McEstimate:
-        if stream_id == 0:
-            return estimate_point(config_template, "H0", trials, seed, stream_id=0)
-        at_snr = config_template.with_snr(AvgSnr.from_db(snr_grid_db[stream_id - 1]))
-        return estimate_point(at_snr, "H1", trials, seed, stream_id=stream_id,
-                              min_events=min_events, max_trials=max_trials)
-
-    streams = range(len(snr_grid_db) + 1)
-    with ThreadPoolExecutor(max_workers=min(_worker_count() + 1, len(streams)),
-                            thread_name_prefix="specsense-sweep") as drivers:
-        pf_est, *dets = _map(estimate, streams, drivers)
+    _check_increasing(snr_grid_db)  # before any block is drawn
+    _check_budget(trials, min_events, max_trials)
+    gammas = np.array([AvgSnr.from_db(s).gamma_bar for s in snr_grid_db])
+    [pf_est], dets = _estimate(
+        [_Stream(config_template, None, seed, 0, None),
+         _Stream(config_template, gammas, seed, 1, min_events)],
+        int(trials), int(max_trials))
     # The Wald half-width is symmetric, so the miss keeps the detection's.
     return SweepCurve(points=tuple(
         SweepPoint(snr_db=snr_db, pmd=replace(det, value=1.0 - det.value), pf=pf_est)

@@ -202,7 +202,7 @@ class TestBestStateSampling:
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
                 low, high = draw_best_snr(AvgSnr(2.0), EndsOfRange(), 2, q)
-        assert low == 0.0
+        assert low == 0.0 and math.copysign(1.0, low) == 1.0  # +0, not -0
         # 1 - u^{1/q} ~ 2^-53 / q at the top of the range
         assert high == pytest.approx(2.0 * (53 * math.log(2.0) + math.log(q)), rel=1e-9)
 

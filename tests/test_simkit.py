@@ -9,6 +9,7 @@ import multiprocessing
 import sys
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,121 @@ class TestDrawOnlyWhatDecides:
         assert abs(est.events - ref) / LAW_TRIALS <= z * se
 
 
+class TestGridDrawsKeepTheLaw:
+    """One set of draws counted at every point of a sweep keeps each point's law.
+
+    Coop with n > 1 is the one case whose trials stop at the grid's last SNR
+    (short of n votes there); the others stop at its first.
+    """
+
+    GRID_DB = [-10.0, -5.0, 0.0, 5.0, 10.0]
+
+    @staticmethod
+    def assert_never_rises(curve):
+        pmds = [p.pmd.value for p in curve.points]
+        assert all(b <= a for a, b in zip(pmds, pmds[1:])), pmds
+
+    @pytest.mark.parametrize("n_users, n_vote", [(4, 2), (10, 1)])
+    def test_coop_points_follow_the_exact_model(self, n_users, n_vote):
+        cfg = SchemeConfig.coop(n_users, n_vote, 8, 1.0, 1.0, alpha=0.05)
+        curve = sweep(cfg, self.GRID_DB, LAW_TRIALS, seed=65)
+        for point in curve.points:
+            want = global_pmd(cfg.payload, AvgSnr.from_db(point.snr_db))
+            assert stats.binomtest(point.pmd.events, LAW_TRIALS, want).pvalue > LAW_LEVEL
+        self.assert_never_rises(curve)
+
+    def test_selection_points_follow_the_exact_model(self):
+        cfg = SchemeConfig.selection(4, 20, calibrate_lambda(20, 0.05), 1.0)
+        grid = [-10.0, -6.0, -2.0, 2.0, 6.0]
+        curve = sweep(cfg, grid, LAW_TRIALS, seed=66)
+        for point in curve.points:
+            _, want = cfg.scheme.analytic(cfg.payload, AvgSnr.from_db(point.snr_db))
+            assert stats.binomtest(point.pmd.events, LAW_TRIALS, want).pvalue > LAW_LEVEL
+        self.assert_never_rises(curve)
+
+    def test_switching_points_match_full_draws(self):
+        cfg = SchemeConfig.switching(3, 20, calibrate_lambda(20, 0.05), 1.0)
+        assert cfg.payload.alloc == (7, 7, 6)
+        curve = sweep(cfg, self.GRID_DB, LAW_TRIALS, seed=67)
+        z = stats.norm.isf(LAW_LEVEL / 2.0)
+        for i, point in enumerate(curve.points):
+            gen = RandomStream(seed=68, stream_id=i).generator()
+            ref = int(_full_draw_switching(cfg.payload, AvgSnr.from_db(point.snr_db),
+                                           gen, LAW_TRIALS).sum())
+            hits = LAW_TRIALS - point.pmd.events
+            # Two-sample binomial z-test on the pooled rate.
+            pooled = (hits + ref) / (2 * LAW_TRIALS)
+            se = math.sqrt(pooled * (1.0 - pooled) * 2.0 / LAW_TRIALS)
+            assert abs(hits - ref) / LAW_TRIALS <= z * se
+        self.assert_never_rises(curve)
+
+
+class ScriptedDraws:
+    """A generator stand-in: call k returns scripted value k for every trial."""
+
+    def __init__(self, energies, fades):
+        self.energies, self.fades = list(energies), list(fades)
+
+    def chisquare(self, df, size):
+        return np.full(size, float(self.energies.pop(0)))
+
+    def standard_exponential(self, size):
+        return np.full(size, float(self.fades.pop(0)))
+
+    def random(self, size):  # u = 0 is the best-of-Q fade 0
+        assert self.fades.pop(0) == 0.0
+        return np.zeros(size)
+
+
+LAM = 12.0
+GAMMAS = np.array([0.5, 1.0, 2.0])
+
+
+def direct_rule(config, energies, fades):
+    """Present (0 or 1) at each of GAMMAS from x (1 + gamma e) > lam, all draws used."""
+    terms = [np.array(energies) * (1.0 + g * np.array(fades)) for g in GAMMAS]
+    if config.variant == "coop":
+        n_vote = config.payload.n_vote
+        return np.array([int(np.count_nonzero(t > LAM) >= n_vote) for t in terms])
+    return np.array([int(t.sum() > LAM) for t in terms])
+
+
+class TestDegenerateDraws:
+    """Zero fades and energies equal to the threshold decide as the direct rule does.
+
+    There the critical SNR is +-inf or 0/0; the 0/0 trial must read absent.
+    """
+
+    CASES = [
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [LAM], [0.0]),
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [2 * LAM], [0.0]),
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [LAM / 2], [0.0]),
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [LAM], [1.0]),
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [LAM / 2], [1.0]),
+        # 0/0 at the first user must not hide the second user's vote.
+        ("coop", SchemeConfig.coop(2, 1, 10, LAM, 1.0), [LAM, 2 * LAM], [0.0, 0.5]),
+        ("coop", SchemeConfig.coop(2, 1, 10, LAM, 1.0), [LAM, LAM], [0.0, 0.0]),
+        ("coop", SchemeConfig.coop(3, 2, 10, LAM, 1.0), [LAM, 2 * LAM, LAM], [0.0, 0.0, 1.0]),
+        ("coop", SchemeConfig.coop(3, 2, 10, LAM, 1.0), [LAM, LAM / 2, LAM], [0.0, 0.0, 0.0]),
+        ("switching", SchemeConfig.switching(2, 20, LAM, 1.0), [LAM / 2, LAM / 2], [0.0, 0.0]),
+        ("switching", SchemeConfig.switching(2, 20, LAM, 1.0), [LAM, LAM / 2], [0.0, 0.0]),
+        ("switching", SchemeConfig.switching(2, 20, LAM, 1.0), [LAM, 0.0], [0.0, 0.0]),
+        ("selection", SchemeConfig.selection(4, 20, LAM, 1.0), [LAM], [0.0]),
+        ("selection", SchemeConfig.selection(4, 20, LAM, 1.0), [2 * LAM], [0.0]),
+        ("selection", SchemeConfig.selection(4, 20, LAM, 1.0), [LAM / 2], [0.0]),
+    ]
+
+    @pytest.mark.parametrize("name, config, energies, fades", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_decides_as_the_direct_rule(self, name, config, energies, fades):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = simkit._batch_decisions(config, GAMMAS,
+                                              ScriptedDraws(energies, fades), 1)
+        assert list(got) == list(direct_rule(config, energies, fades))
+
+
 def _fades_per_trial(monkeypatch, config, hypothesis):
     """Fades drawn per trial by one full block of ``config``."""
     drawn = []
@@ -356,16 +472,19 @@ def _fades_per_trial(monkeypatch, config, hypothesis):
 class TestDrawCounts:
     """At 20 dB the first user or state decides almost every trial."""
 
+    # Each trial draws the first user's or state's fade through draw_snr, so
+    # at least one per trial: a path that went around draw_snr would pass
+    # the upper bound with no fade counted.
     def test_coop_stops_at_the_deciding_user(self, monkeypatch):
         cfg = SchemeConfig.coop(10, 1, 10, 1.0, AvgSnr.from_db(20.0), alpha=0.05)
         per_trial, _ = _fades_per_trial(monkeypatch, cfg, "H1")
-        assert per_trial < 2.0
+        assert 1.0 <= per_trial < 2.0
 
     def test_switching_stops_at_the_deciding_state(self, monkeypatch):
         cfg = SchemeConfig.switching(10, 100, calibrate_lambda(100, 0.05),
                                      AvgSnr.from_db(20.0))
         per_trial, _ = _fades_per_trial(monkeypatch, cfg, "H1")
-        assert per_trial < 2.0
+        assert 1.0 <= per_trial < 2.0
 
     def test_selection_draws_no_per_state_fades(self, monkeypatch):
         cfg = SchemeConfig.selection(10, 100, calibrate_lambda(100, 0.05),
@@ -408,22 +527,12 @@ def escalated_deep_point():
                           max_trials=10 ** 7)
 
 
-# A fixed-budget and an escalating sweep (the 35 dB point reaches 1e6 trials).
+# A fixed-budget sweep whose coop n = 2 trials use both grid ends, and an
+# escalating one (its 35 dB point reaches 1e6 trials).
 SWEEPS = [
-    ((GOLDEN_CONFIGS["coop"], [0.0, 5.0, 10.0], GOLDEN_TRIALS, 2024), {}),
-    ((DEEP, [25.0, 30.0, 35.0], 1000, 7), {"min_events": 100, "max_trials": 10 ** 7}),
+    ((GOLDEN_CONFIGS["coop"], [0.0, 2.5, 5.0, 7.5, 10.0], GOLDEN_TRIALS, 2024), {}),
+    ((DEEP, [25.0, 30.0, 32.5, 35.0], 1000, 7), {"min_events": 100, "max_trials": 10 ** 7}),
 ]
-
-
-def one_by_one(config, grid, trials, seed, **kwargs):
-    """The curve ``sweep`` promises, from separate ``estimate_point`` calls."""
-    pf = estimate_point(config, "H0", trials, seed, stream_id=0)
-    points = []
-    for i, snr_db in enumerate(grid):
-        det = estimate_point(config.with_snr(AvgSnr.from_db(snr_db)), "H1", trials,
-                             seed, stream_id=i + 1, **kwargs)
-        points.append(SweepPoint(snr_db, replace(det, value=1.0 - det.value), pf))
-    return SweepCurve(points=tuple(points))
 
 
 def _estimate_in_child(queue):
@@ -460,11 +569,11 @@ class TestGoldenCounts:
 
 
 class TestBlockScheduling:
-    def test_pooled_equals_inline(self, monkeypatch):
+    def test_same_bits_at_any_worker_count(self, monkeypatch):
         cfg = GOLDEN_CONFIGS["coop"]
         pooled = estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024, stream_id=3)
         deep_pooled = escalated_deep_point()
-        curves = [one_by_one(*args, **kwargs) for args, kwargs in SWEEPS]
+        curves = [sweep(*args, **kwargs) for args, kwargs in SWEEPS]
         assert curves[1].points[-1].pmd.trials == 10 ** 6
         for workers in (simkit._worker_count(), 2, 1):
             monkeypatch.setattr(simkit, "_worker_count", lambda w=workers: w)
@@ -473,76 +582,80 @@ class TestBlockScheduling:
             assert escalated_deep_point() == deep_pooled
             assert [sweep(*args, **kwargs) for args, kwargs in SWEEPS] == curves
 
-    def test_sweep_with_more_drivers_than_cores_under_fast_switching(self, monkeypatch):
-        # Five drivers share the pool, each point four blocks; a thread
-        # switch every microsecond would expose counts shared between points.
+    def test_sweep_on_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        # Four pool threads take the blocks of both streams; a thread switch
+        # every microsecond would expose counts stored against the wrong block.
+        args, kwargs = SWEEPS[0]
+        monkeypatch.setattr(simkit, "_worker_count", lambda: 1)
+        want = sweep(*args, **kwargs)
+        pool = ThreadPoolExecutor(max_workers=4, thread_name_prefix="specsense-test")
+        monkeypatch.setattr(simkit, "_pool", pool)
         monkeypatch.setattr(simkit, "_worker_count", lambda: 4)
-        args = (GOLDEN_CONFIGS["coop"], [-5.0, 0.0, 5.0, 10.0, 15.0], GOLDEN_TRIALS, 2024)
-        want = one_by_one(*args)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = sweep(*args)
+            got = sweep(*args, **kwargs)
         finally:
             sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
         assert got == want
 
-    def test_sweep_starts_the_next_point_before_a_point_returns(self, monkeypatch):
-        # Point 1 waits for point 2 to start; one point at a time, it waits
-        # out the timeout instead.
+    @pytest.mark.parametrize("args, kwargs", [
+        ((GOLDEN_CONFIGS["coop"], [5.0], GOLDEN_TRIALS, 2024), {}),
+        ((DEEP, [35.0], 1000, 7), {"min_events": 100, "max_trials": 10 ** 7}),
+    ], ids=["fixed", "escalating"])
+    def test_one_point_sweep_is_estimate_point_on_stream_one(self, args, kwargs):
+        config, [snr_db], trials, seed = args
+        [point] = sweep(*args, **kwargs).points
+        det = estimate_point(config.with_snr(AvgSnr.from_db(snr_db)), "H1", trials,
+                             seed, stream_id=1, **kwargs)
+        assert point.pmd == replace(det, value=1.0 - det.value)
+        assert point.pf == estimate_point(config, "H0", trials, seed, stream_id=0)
+
+    @pytest.mark.parametrize("args, kwargs", SWEEPS, ids=["fixed", "escalating"])
+    def test_point_depends_on_the_grid_ends_alone(self, args, kwargs):
+        config, grid, trials, seed = args
+        curve = sweep(*args, **kwargs)
+        for i in range(1, len(grid) - 1):
+            ends = sweep(config, [grid[0], grid[i], grid[-1]], trials, seed, **kwargs)
+            assert ends.points[1] == curve.points[i]
+
+    def test_fixed_budget_sweep_draws_each_block_once(self, monkeypatch):
+        drawn = {"H0": [], "H1": []}
+        batch = simkit._batch_decisions
+
+        def spy(config, gammas, gen, n):
+            drawn["H0" if gammas is None else "H1"].append(n)
+            return batch(config, gammas, gen, n)
+
+        monkeypatch.setattr(simkit, "_batch_decisions", spy)
+        grid = [-20.0 + i for i in range(41)]
+        curve = sweep(GOLDEN_CONFIGS["switching"], grid, GOLDEN_TRIALS, seed=3)
+        plan = sorted(take for _, take in simkit._block_plan(GOLDEN_TRIALS))
+        assert sorted(drawn["H1"]) == sorted(drawn["H0"]) == plan
+        assert [p.pmd.trials for p in curve.points] == [GOLDEN_TRIALS] * 41
+
+    def test_sweep_raises_the_first_failing_block(self, monkeypatch):
         monkeypatch.setattr(simkit, "_worker_count", lambda: 2)
-        started = threading.Event()
-        waited = []
-        estimate = simkit.estimate_point
 
-        def spy(config, hypothesis, trials, seed, *, stream_id=0, **kwargs):
-            if stream_id == 1:
-                waited.append(started.wait(timeout=10))
-            elif stream_id == 2:
-                started.set()
-            return estimate(config, hypothesis, trials, seed, stream_id=stream_id, **kwargs)
+        def others():
+            return {t for t in threading.enumerate()
+                    if not t.name.startswith("specsense-mc")}
 
-        monkeypatch.setattr(simkit, "estimate_point", spy)
-        curve = sweep(GOLDEN_CONFIGS["noncoop"], [0.0, 5.0], 1000, seed=1)
-        assert waited == [True]
-        assert len(curve.points) == 2
+        before = others()
+        batch = simkit._batch_decisions
 
-    # 1000 trials is one block, so the points draw on their drivers and the
-    # shared pool starts no thread.
-    @pytest.mark.parametrize("one_worker", [False, True], ids=["affinity", "one-worker"])
-    def test_sweep_adds_at_most_workers_plus_one_threads(self, monkeypatch, one_worker):
-        if one_worker:
-            monkeypatch.setattr(simkit, "_worker_count", lambda: 1)
-        workers = simkit._worker_count()
-        before = threading.active_count()
-        during = []
-        estimate = simkit.estimate_point
+        def spy(config, gammas, gen, n):
+            # The partial last block of each stream fails; H0's comes first.
+            if n < simkit._BLOCK:
+                raise FloatingPointError("forced at " + ("H0" if gammas is None else "H1"))
+            return batch(config, gammas, gen, n)
 
-        def spy(*args, **kwargs):
-            during.append(threading.active_count())
-            return estimate(*args, **kwargs)
-
-        monkeypatch.setattr(simkit, "estimate_point", spy)
-        grid = [0.1 * i for i in range(500)]
-        curve = sweep(GOLDEN_CONFIGS["noncoop"], grid, 1000, seed=3)
-        assert len(curve.points) == len(during) - 1 == 500
-        assert max(during) - before <= (0 if workers == 1 else workers + 1)
-        assert threading.active_count() == before
-
-    def test_sweep_raises_the_first_failing_point(self, monkeypatch):
-        monkeypatch.setattr(simkit, "_worker_count", lambda: 2)
-        before = threading.active_count()
-        estimate = simkit.estimate_point
-
-        def spy(config, hypothesis, trials, seed, *, stream_id=0, **kwargs):
-            if stream_id in (2, 4):
-                raise FloatingPointError(f"forced at stream {stream_id}")
-            return estimate(config, hypothesis, trials, seed, stream_id=stream_id, **kwargs)
-
-        monkeypatch.setattr(simkit, "estimate_point", spy)
-        with pytest.raises(FloatingPointError, match="stream 2"):
-            sweep(GOLDEN_CONFIGS["noncoop"], [0.1 * i for i in range(50)], 1000, seed=3)
-        assert threading.active_count() == before
+        monkeypatch.setattr(simkit, "_batch_decisions", spy)
+        with pytest.raises(FloatingPointError, match="H0"):
+            sweep(GOLDEN_CONFIGS["noncoop"], [0.1 * i for i in range(50)],
+                  GOLDEN_TRIALS, seed=3)
+        assert others() == before
 
     def test_each_block_drawn_once_per_point(self, monkeypatch):
         drawn = []
