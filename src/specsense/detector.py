@@ -41,7 +41,7 @@ _SEARCH = np.geomspace(1e-13, 800.0, 320)
 with np.errstate(over="ignore"):
     _EXPM1_SEARCH = np.expm1(_SEARCH)  # inf at the top, where the fading CDF is 1
 _DROPS, _SPAN = np.array([1.5, 5.0, 11.0, 19.0, 29.0, 41.0, 55.0]), 60.0
-_KNEE, _BULK = 2.0 ** np.arange(-2, 7), np.array([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0])
+_KNEE = 2.0 ** np.arange(-2, 7)
 _TOL = 1e-10
 # Operating points each SNR-independent cache keeps; fig1-fig3 together fill 12.
 _CACHE_SIZE = 128
@@ -51,16 +51,15 @@ _CACHE_SIZE = 128
 def _threshold_side(m: int, lam: float):
     """The terms of ``_faded_miss`` that do not depend on the SNR.
 
-    log(lam/2), ln Gamma(M), the Gamma factor M log g - g on ``_SEARCH``
-    and the bulk edges, the two arrays read-only.
+    log(lam/2), ln Gamma(M) and the Gamma factor M log g - g on ``_SEARCH``,
+    the array read-only.
     """
     log_half = math.log(lam / 2.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         log_g = log_half - _SEARCH
         gamma_part = m * log_g - np.exp(log_g)
-    bulk = log_half - math.log(m) + _BULK / math.sqrt(m)
-    gamma_part.flags.writeable = bulk.flags.writeable = False
-    return log_half, math.lgamma(m), gamma_part, bulk
+    gamma_part.flags.writeable = False
+    return log_half, math.lgamma(m), gamma_part
 
 
 def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
@@ -68,16 +67,16 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
 
     F = (1 - e^{-x/gamma_bar})^q, the best of q Rayleigh states.  Over
     u = log(lam/(2g)) the log-integrand is concave, so the grid's maximum is
-    its one peak.  Panels end where it has fallen by each of ``_DROPS`` nats
-    (the range 60 nats down), where (e^u - 1)/gamma_bar is 2^k, and around
-    the Gamma bulk in units of 1/sqrt(M).  The order-16 rule's distance from
-    the order-20 value is the error estimate.  A result below the smallest
-    double reads 0.0; one that rounding lifts above 1 reads 1.0.  The terms
-    that depend on (M, lam) alone come from ``_threshold_side``, computed
-    once per operating point; only the fading factor, the peak and panel
-    search and the panels are formed at each SNR.
+    its one peak.  Panels end at the peak, where it has fallen by each of
+    ``_DROPS`` nats (the range ends 60 nats down) and at the fading knees,
+    where (e^u - 1)/gamma_bar is 2^k.  The order-16 rule's distance from the
+    order-20 value is the error estimate.  A result below the smallest double
+    reads 0.0; one that rounding lifts above 1 reads 1.0.  The terms that
+    depend on (M, lam) alone come from ``_threshold_side``, computed once per
+    operating point; only the fading factor, the peak and panel search and
+    the panels are formed at each SNR.
     """
-    log_half, ln_gamma_m, gamma_part, bulk = _threshold_side(m, lam)
+    log_half, ln_gamma_m, gamma_part = _threshold_side(m, lam)
     scale = -1.0 / gamma_bar
 
     def log_integrand(u):  # less ln Gamma(M), which the result adds back
@@ -94,7 +93,6 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
         level = _DROPS.searchsorted(drop[first:last + 1])
         edges = np.concatenate((
             (lo, hi, _SEARCH[top]), _SEARCH[first + 1:last + 1][level[1:] != level[:-1]],
-            bulk,
             np.log1p(gamma_bar * _KNEE)))
         edges = np.sort(edges[(edges >= lo) & (edges <= hi)])  # a repeat adds width 0
         widths = (edges[1:] - edges[:-1])[:, None]
@@ -167,7 +165,7 @@ def avg_pd_numeric(m: int, lam: float, avg) -> float:
     """
     params = DetectorParams(m=m, lam=lam)
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    return min(1.0, max(0.0, 1.0 - _faded_miss(params.m, params.lam, gamma_bar)))
+    return 1.0 - _faded_miss(params.m, params.lam, gamma_bar)
 
 
 def avg_pd_closed(m: int, lam: float, avg) -> float:

@@ -41,10 +41,6 @@ def binom_tail(n: int, k_min: int, p: float) -> float:
         return 1.0
     if k_min > n:
         return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
     return float(_sp.betainc(k_min, n - k_min + 1, p))
 
 

@@ -121,8 +121,6 @@ def hypergeom_1f2(a: float, b1: float, b2: float, z: float) -> float:
         b = _finite(b, name)
         _require(not (b <= 0.0 and abs(b - round(b)) < 1e-12),
                  f"{name}={b} is a nonpositive integer: pole of 1F2")
-    if z == 0.0:
-        return 1.0
     term = 1.0
     total = 1.0
     for k in range(_HYP_MAX_TERMS):

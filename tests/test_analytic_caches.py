@@ -74,10 +74,9 @@ def test_reference_cells_cold_and_warm_are_the_same_bits():
 
 
 def test_cached_threshold_side_is_read_only():
-    _, _, gamma_part, bulk = _threshold_side(10, 20.0)
-    for array in (gamma_part, bulk):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
+    _, _, gamma_part = _threshold_side(10, 20.0)
+    with pytest.raises(ValueError):
+        gamma_part[0] = 0.0
 
 
 def test_fig2_switching_column_reads_one_at_all_41_default_points():

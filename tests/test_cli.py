@@ -21,6 +21,8 @@ from specsense.cli import (
     main,
     parse_scenario,
 )
+from specsense.fusion import gains_coop
+from specsense.reconfig import diversity_reconfig
 from specsense.simkit import _MAX_TRIALS
 
 
@@ -135,7 +137,10 @@ class TestExitCodes:
         (["--out", "{tmp}/missing/o.csv"], {}),
         (["--trials", "10", "--mode", "analytic"], {}),
         ([], {"snr_stop_db": "inf"}),
-    ], ids=["unwritable-out", "trials-flag-below-floor", "infinite-grid-bound"])
+        ([], {"mode": "fast"}),
+        ([], {"snr_stop_db": -10}),
+    ], ids=["unwritable-out", "trials-flag-below-floor", "infinite-grid-bound",
+            "mode-outside-choices", "stop-below-start"])
     def test_bad_flag_or_value_is_config_error(self, tmp_path, capsys, flags, keys):
         path = write_scenario(tmp_path / "s.txt", **keys)
         out = tmp_path / "o.csv"
@@ -194,8 +199,9 @@ class TestExitCodes:
     # calibrate builds no grid, so a missing check fails here without a
     # 4e301-point list.
     @pytest.mark.parametrize("text", ["schema = 1\nm = 10\nm = 100\n",
-                                      "schema = 1\nsnr_step_db = 1e-300\n"],
-                             ids=["repeated-key", "grid-too-fine"])
+                                      "schema = 1\nsnr_step_db = 1e-300\n",
+                                      "schema = 1\nm 10\n"],
+                             ids=["repeated-key", "grid-too-fine", "line-without-equals"])
     def test_rejected_scenario_is_config_error(self, tmp_path, capsys, text):
         p = tmp_path / "s.txt"
         p.write_text(text)
@@ -213,6 +219,17 @@ class TestExitCodes:
         path = write_scenario(tmp_path / "s.txt")
         assert main(["sweep", "--scenario", path]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_failed_calibration_smoke_check_exits_three(self, tmp_path, monkeypatch, capsys):
+        from specsense import cli
+
+        def far_from_alpha(config, hypothesis, trials, seed):
+            return simkit.McEstimate(0.5, trials, 0.001)
+
+        monkeypatch.setattr(cli, "estimate_point", far_from_alpha)
+        path = write_scenario(tmp_path / "s.txt")
+        assert main(["calibrate", "--scenario", path]) == 3
+        assert "calibration smoke check FAILED" in capsys.readouterr().err
 
     def test_switching_overflow_exits_three(self, tmp_path, capsys):
         # For M = 1000 the switching asymptote leaves the double range, and
@@ -277,11 +294,11 @@ class TestSweepCommand:
             assert row["pmd_mc"] == ""  # analytic mode leaves MC columns empty
 
     def test_exact_miss_that_rounds_above_one_reads_one(self, tmp_path, capsys):
-        # The fading quadrature gives 1 + 6.3e-13 here; unclamped, the OR
+        # The fading quadrature gives 1 + 3.7e-12 here; unclamped, the OR
         # rule's binomial tail rejected it as a probability and the run exited 2.
         path = write_scenario(tmp_path / "s.txt", scheme="coop", n_users=1, n_vote=1,
-                              m=4488, alpha=2.77e-12, snr_start_db=-34.2,
-                              snr_stop_db=-34.2, mode="analytic")
+                              m=8090, alpha=2.145e-12, snr_start_db=-37.7,
+                              snr_stop_db=-37.7, mode="analytic")
         out = tmp_path / "a.csv"
         assert main(["sweep", "--scenario", path, "--out", str(out)]) == 0
         with out.open() as fh:
@@ -331,6 +348,22 @@ class TestFigureCommand:
         assert all(sc.alpha == 0.01 for _, sc in figure_setups("fig1"))
         assert all(sc.alpha == 0.05 for _, sc in figure_setups("fig2"))
         assert figure_setups("fig1", alpha=0.2)[0][1].alpha == 0.2
+
+    def test_unknown_figure_is_rejected(self):
+        # The CLI's --which choices keep this from main; the library call checks too.
+        with pytest.raises(ValueError, match="unknown figure 'fig4'"):
+            figure_setups("fig4")
+
+    # The analytic order that ``specsense slope`` prints beside its fit.
+    @pytest.mark.parametrize("label, order", [
+        ("noncoop", lambda p: 1.0),
+        ("coop", lambda p: gains_coop(p).diversity),
+        ("switching", lambda p: diversity_reconfig(p.m, p.q).diversity),
+        ("selection", lambda p: diversity_reconfig(p.m, p.q).diversity),
+    ], ids=["noncoop", "coop", "switching", "selection"])
+    def test_fig2_scheme_diversity_is_the_analytic_order(self, label, order):
+        config = build_config(dict(figure_setups("fig2"))[label])
+        assert config.scheme.diversity(config.payload) == order(config.payload)
 
 
 class TestSlopeCommand:

@@ -98,8 +98,8 @@ def test_public_entry_points_take_the_rule():
 
 
 # Near the worst low-SNR corner of the box the rule's 1e-10 error can carry
-# the miss past 1 (1 + 6.3e-13 and 1 + 5.8e-12 before the clamp).
-@pytest.mark.parametrize("m, alpha, q, snr_db", [(4488, 2.77e-12, 1, -34.2),
+# the miss past 1 (1 + 3.7e-12 and 1 + 6.4e-12 before the clamp).
+@pytest.mark.parametrize("m, alpha, q, snr_db", [(8090, 2.145e-12, 1, -37.7),
                                                  (7168, 1.34e-12, 24, -36.8)],
                          ids=["noncoop", "selection"])
 def test_a_miss_rounded_above_one_reads_one(m, alpha, q, snr_db):

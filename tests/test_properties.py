@@ -6,7 +6,9 @@ derandomized with a bounded example count, so every run checks the same
 cases.  Switching is left out: its analytic column is an asymptote, not the
 miss probability.  The terms that do not depend on the SNR are cached per
 operating point; a repeated call must give the same bits, and no cache may
-grow past its bound.
+grow past its bound.  Plain Monte Carlo meets the same columns over the box
+(alpha in (1e-6, 0.999)): one block per hypothesis, through an exact
+binomial test.
 """
 
 import tempfile
@@ -14,8 +16,11 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from specsense import AvgSnr
 from specsense.cli import ScenarioFile, analytic_columns, build_config, main
+from specsense.simkit import estimate_point
 from specsense.specfun import ConvergenceError
 
 from .test_analytic_caches import caches
@@ -30,11 +35,11 @@ PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, alpha=ALPHA):
     """A valid scenario of one of the three schemes."""
     scheme = draw(st.sampled_from(SCHEMES))
     n_users = draw(COUNT) if scheme == "coop" else 1
-    return ScenarioFile(scheme=scheme, m=draw(M), alpha=draw(ALPHA),
+    return ScenarioFile(scheme=scheme, m=draw(M), alpha=draw(alpha),
                         n_users=n_users, n_vote=draw(st.integers(1, n_users)),
                         q=draw(COUNT) if scheme == "selection" else 1)
 
@@ -80,3 +85,25 @@ def test_analytic_cli_exits_0_2_or_3_and_writes_a_csv_only_on_0(text):
         code = main(["sweep", "--scenario", str(scenario), "--out", str(out)])
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+
+
+MC_TRIALS = 1 << 16  # one block
+MC_ALPHA = st.floats(1e-6, 0.999, exclude_min=True, exclude_max=True)
+
+
+# A correct sampler fails one of the 200 tests with probability under 2e-7.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sc=scenarios(MC_ALPHA), snr_db=SNR_DB, seed=st.integers(0, 2 ** 32 - 1))
+def test_one_mc_block_per_hypothesis_meets_the_analytic_columns(sc, snr_db, seed):
+    try:
+        config = build_config(sc).with_snr(AvgSnr.from_db(snr_db))
+        pf, pmd = analytic_columns(config, snr_db)
+    except (ValueError, ConvergenceError):
+        return  # a refusal is allowed; any other exception fails the test
+    false_alarms = estimate_point(config, "H0", MC_TRIALS, seed).events
+    misses = MC_TRIALS - estimate_point(config, "H1", MC_TRIALS, seed, stream_id=1).events
+    for count, p in ((false_alarms, pf), (misses, pmd)):
+        # Exact two-sided test by doubling the smaller tail; stats.binomtest
+        # overflows for p near 1e-305.
+        tail = min(stats.binom.cdf(count, MC_TRIALS, p), stats.binom.sf(count - 1, MC_TRIALS, p))
+        assert 2.0 * tail > 1e-9, (count, p)

@@ -257,7 +257,8 @@ class TestSlopeFit:
         return SweepCurve(points=tuple(points))
 
     def test_recovers_known_slope(self):
-        curve = self.synthetic_curve(3.0, 500.0, [10, 12, 14, 16, 18])
+        # At 4 dB, outside the window, the miss is clamped to 1, off the line.
+        curve = self.synthetic_curve(3.0, 500.0, [4, 10, 12, 14, 16, 18])
         assert fit_diversity_slope(curve, (10, 18)) == pytest.approx(3.0, abs=1e-9)
 
     def test_excludes_zero_cells_with_warning(self):
