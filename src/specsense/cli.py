@@ -30,8 +30,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .channel import AvgSnr
-from .detector import pf_single
-from .fusion import global_pf
 from .reconfig import reduced_samples
 from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _MIN_TRIALS, _Z99, SCENARIO_SCHEMES,
                      SchemeConfig, estimate_point, fit_diversity_slope, sweep)
@@ -222,18 +220,9 @@ def _curve_rows(label: str, sc: ScenarioFile, seed: int):
 
 def cmd_calibrate(sc: ScenarioFile) -> int:
     config = build_config(sc)
-    p = config.payload
-    if config.variant == "coop":
-        lam = p.per_user.lam
-        local_pf = pf_single(p.per_user.m, lam)
-        print(f"scheme=coop N={p.n_users} n={p.n_vote} M={p.per_user.m} "
-              f"alpha={sc.alpha}")
-        print(f"lambda={lam:.10g} local_pf={local_pf:.10g} "
-              f"global_pf={global_pf(p):.10g}")
-    else:
-        lam = p.lam
-        print(f"scheme={sc.scheme} M={p.m} alpha={sc.alpha}")
-        print(f"lambda={lam:.10g} pf={pf_single(p.m, lam):.10g}")
+    sizes, threshold = config.scheme.describe(config.payload)
+    print(f"scheme={sc.scheme} {sizes} alpha={sc.alpha}")
+    print(threshold)
     smoke = estimate_point(config, "H0", 10 ** 5, sc.seed)
     print(f"empirical_pf={smoke.value:.6f} ci99={smoke.ci_halfwidth:.6f} "
           f"trials={smoke.trials}")

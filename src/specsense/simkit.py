@@ -95,12 +95,13 @@ class _Noncoop:
     ``payload`` builds the scheme's parameters from a scenario's fields with
     a placeholder threshold; ``threshold`` returns them with the threshold
     set so that the scheme's P_F equals alpha.  ``analytic`` takes the P_F
-    column from ``pf`` once per payload.  ``false_alarms`` counts a block's
-    "present" decisions under H0.  ``critical_snrs`` draws a block under H1
-    for a grid of average SNRs from ``lo`` to ``hi``: it returns how many
-    trials it found present at every SNR of the grid, and the critical SNR
-    of each trial it has not settled (``_critical_snr``); a trial it found
-    absent at every SNR of the grid is in neither.
+    column from ``pf`` once per payload; ``describe`` gives the payload's
+    part of what ``specsense calibrate`` prints.  ``false_alarms`` counts a
+    block's "present" decisions under H0.  ``critical_snrs`` draws a block
+    under H1 for a grid of average SNRs from ``lo`` to ``hi``: it returns how
+    many trials it found present at every SNR of the grid, and the critical
+    SNR of each trial it has not settled (``_critical_snr``); a trial it
+    found absent at every SNR of the grid is in neither.
     """
 
     variant = scenario = "noncoop"
@@ -121,6 +122,9 @@ class _Noncoop:
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), _faded_miss(p.m, p.lam, AvgSnr.coerce(avg).gamma_bar)
 
+    def describe(self, p) -> tuple[str, str]:
+        return f"M={p.m}", f"lambda={p.lam:.10g} pf={self.pf(p):.10g}"
+
     def false_alarms(self, p, gen, n: int) -> int:
         return int(np.count_nonzero(gen.chisquare(2 * p.m, n) > p.lam))
 
@@ -139,10 +143,9 @@ class _Noncoop:
 class _Coop(_Noncoop):
     """N users, n-out-of-N fusion; the threshold holds the global level alpha.
 
-    Under H1 a user votes present above its own critical SNR, so a trial's
-    critical SNR is the n-th smallest of its users'.  Under H0 a user votes
-    present when its energy exceeds lam, so lam minus the energy plays that
-    part with the one SNR 0.
+    A user votes present under H0 when its energy exceeds lam, and under H1
+    above its own critical SNR, so a trial's critical SNR is the n-th
+    smallest of its users'.
     """
 
     variant = scenario = "coop"
@@ -165,34 +168,39 @@ class _Coop(_Noncoop):
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), global_pmd(p, avg)
 
+    def describe(self, p) -> tuple[str, str]:
+        d = p.per_user
+        return (f"N={p.n_users} n={p.n_vote} M={d.m}",
+                f"lambda={d.lam:.10g} local_pf={pf_single(d.m, d.lam):.10g} "
+                f"global_pf={self.pf(p):.10g}")
+
+    # Users report one at a time, and only the undecided trials draw the
+    # next report: a trial is present once it has n_vote votes, absent once
+    # its votes plus the users still to report fall short of n_vote.
     def false_alarms(self, p, gen, n: int) -> int:
         d = p.per_user
+        present = 0
+        votes = np.zeros(n, dtype=np.int64)  # of the undecided trials
+        for users_left in range(p.n_users - 1, -1, -1):
+            votes += gen.chisquare(2 * d.m, votes.size) > d.lam
+            won = votes >= p.n_vote
+            present += int(np.count_nonzero(won))
+            votes = votes[~won & (votes + users_left >= p.n_vote)]
+            if not votes.size:
+                break
+        return present
 
-        def user(size):
-            energy = gen.chisquare(2 * d.m, size)
-            return np.subtract(d.lam, energy, out=energy)
-
-        settled, c = self._vote(p, user, 0.0, 0.0, n)
-        return settled + int(np.count_nonzero(c < 0.0))
-
+    # Under H1 only the unsettled trials draw the next report.  top[k] holds
+    # each such trial's (k+1)-th smallest user value so far, so top[-1] is
+    # the n-th smallest: the trial is present at every SNR of [lo, hi] once
+    # top[-1] < lo, and absent at every one once its values below hi plus
+    # the users still to report fall short of n_vote, that is once
+    # top[n_vote - users_left - 1] >= hi.
     def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
-        def user(size):
-            return super(_Coop, self).critical_snrs(p.per_user, lo, hi, gen, size)[1]
-
-        return self._vote(p, user, lo, hi, n)
-
-    # Users report one at a time, and only the unsettled trials draw the next
-    # report.  top[k] holds each such trial's (k+1)-th smallest user value so
-    # far, so top[-1] is the n-th smallest: the trial is present at every SNR
-    # of [lo, hi] once top[-1] < lo, and absent at every one once its values
-    # below hi plus the users still to report fall short of n_vote, that is
-    # once top[n_vote - users_left - 1] >= hi.
-    @staticmethod
-    def _vote(p, user, lo: float, hi: float, n: int):
         settled = 0
         top = [np.full(n, np.inf) for _ in range(p.n_vote)]
         for users_left in range(p.n_users - 1, -1, -1):
-            c = user(top[0].size)
+            _, c = super().critical_snrs(p.per_user, lo, hi, gen, top[0].size)
             for k in range(p.n_vote - 1):  # insert c; the larger value moves on
                 smaller = np.minimum(top[k], c)
                 np.maximum(top[k], c, out=c)
@@ -524,13 +532,11 @@ if hasattr(os, "register_at_fork"):
 
 
 def _map(fn, items) -> list:
-    """``[fn(x) for x in items]``, on the block pool when that can help.
+    """``[fn(x) for x in items]``, on the block pool.
 
     Results come in list order: the first failing item in that order
     raises, and items not yet started are cancelled.
     """
-    if len(items) < 2 or _worker_count() < 2:
-        return [fn(x) for x in items]
     return list(_pool.map(fn, items))
 
 

@@ -112,8 +112,8 @@ def hypergeom_1f2(a: float, b1: float, b2: float, z: float) -> float:
     """Generalized hypergeometric 1F2(a; b1, b2; z) by direct series.
 
     The series terminates when a term falls below 1e-14 of the running sum;
-    more than 10^4 terms raises ConvergenceError.  Nonpositive-integer
-    denominator parameters are poles and are rejected.
+    more than 10^4 terms raises ConvergenceError.  Poles (nonpositive-integer
+    b1 or b2) and a denominator that underflows to 0 raise ValueError.
     """
     a = _finite(a, "a")
     z = _finite(z, "z")
@@ -124,7 +124,10 @@ def hypergeom_1f2(a: float, b1: float, b2: float, z: float) -> float:
     term = 1.0
     total = 1.0
     for k in range(_HYP_MAX_TERMS):
-        term *= (a + k) * z / ((b1 + k) * (b2 + k) * (k + 1.0))
+        den = (b1 + k) * (b2 + k)
+        if den == 0.0:
+            raise ValueError(f"1F2 denominator (b1 + {k})(b2 + {k}) underflows to 0")
+        term *= (a + k) * z / (den * (k + 1.0))
         total += term
         if abs(term) < 1e-14 * abs(total):
             return total

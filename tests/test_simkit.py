@@ -4,6 +4,7 @@ Every cross-check pits the sampler against a closed-form or quadrature value
 it was not derived from, at fixed seeds and pinned trial counts.
 """
 
+import contextlib
 import math
 import multiprocessing
 import sys
@@ -504,6 +505,8 @@ GOLDEN_HITS = {
     ("coop", "H0"): 8521, ("coop", "H1"): 195312,
     ("switching", "H0"): 11522, ("switching", "H1"): 197581,
     ("selection", "H0"): 11522, ("selection", "H1"): 199717,
+    # Coop H0 with many votes, where a trial stays open over many users.
+    ("coop-57-of-57", "H0"): 9933, ("coop-32-of-64", "H0"): 9935,
 }
 GOLDEN_NOTE = ("golden counts were drawn with numpy 2.4.6, this run has "
                f"numpy {np.__version__}; after a numpy upgrade, suspect numpy first")
@@ -516,6 +519,9 @@ GOLDEN_CONFIGS = {
     "coop": SchemeConfig.coop(4, 2, 8, 24.0, AvgSnr.from_db(5.0)),
     "switching": SchemeConfig.switching(4, 20, 55.0, AvgSnr.from_db(5.0)),
     "selection": SchemeConfig.selection(4, 20, 55.0, AvgSnr.from_db(5.0)),
+    # Their thresholds are the alpha = 0.05 ones.
+    "coop-57-of-57": SchemeConfig.coop(57, 57, 1737, 3338.9753206468718, AvgSnr.from_db(5.0)),
+    "coop-32-of-64": SchemeConfig.coop(64, 32, 10, 21.10255012448796, AvgSnr.from_db(5.0)),
 }
 
 
@@ -569,6 +575,17 @@ class TestGoldenCounts:
         assert est == estimate_point(DEEP, "H1", est.trials, seed=7)
 
 
+@contextlib.contextmanager
+def block_pool(monkeypatch, workers: int):
+    """Inside the ``with`` body, simkit maps its blocks on ``workers`` threads."""
+    pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="specsense-mc")
+    monkeypatch.setattr(simkit, "_pool", pool)
+    try:
+        yield
+    finally:
+        pool.shutdown(wait=True)
+
+
 class TestBlockScheduling:
     def test_same_bits_at_any_worker_count(self, monkeypatch):
         cfg = GOLDEN_CONFIGS["coop"]
@@ -577,28 +594,25 @@ class TestBlockScheduling:
         curves = [sweep(*args, **kwargs) for args, kwargs in SWEEPS]
         assert curves[1].points[-1].pmd.trials == 10 ** 6
         for workers in (simkit._worker_count(), 2, 1):
-            monkeypatch.setattr(simkit, "_worker_count", lambda w=workers: w)
-            assert estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024,
-                                  stream_id=3) == pooled
-            assert escalated_deep_point() == deep_pooled
-            assert [sweep(*args, **kwargs) for args, kwargs in SWEEPS] == curves
+            with block_pool(monkeypatch, workers):
+                assert estimate_point(cfg, "H1", GOLDEN_TRIALS, seed=2024,
+                                      stream_id=3) == pooled
+                assert escalated_deep_point() == deep_pooled
+                assert [sweep(*args, **kwargs) for args, kwargs in SWEEPS] == curves
 
     def test_sweep_on_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         # Four pool threads take the blocks of both streams; a thread switch
         # every microsecond would expose counts stored against the wrong block.
         args, kwargs = SWEEPS[0]
-        monkeypatch.setattr(simkit, "_worker_count", lambda: 1)
-        want = sweep(*args, **kwargs)
-        pool = ThreadPoolExecutor(max_workers=4, thread_name_prefix="specsense-test")
-        monkeypatch.setattr(simkit, "_pool", pool)
-        monkeypatch.setattr(simkit, "_worker_count", lambda: 4)
+        with block_pool(monkeypatch, 1):
+            want = sweep(*args, **kwargs)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = sweep(*args, **kwargs)
+            with block_pool(monkeypatch, 4):
+                got = sweep(*args, **kwargs)
         finally:
             sys.setswitchinterval(interval)
-            pool.shutdown(wait=True)
         assert got == want
 
     @pytest.mark.parametrize("args, kwargs", [
@@ -637,8 +651,6 @@ class TestBlockScheduling:
         assert [p.pmd.trials for p in curve.points] == [GOLDEN_TRIALS] * 41
 
     def test_sweep_raises_the_first_failing_block(self, monkeypatch):
-        monkeypatch.setattr(simkit, "_worker_count", lambda: 2)
-
         def others():
             return {t for t in threading.enumerate()
                     if not t.name.startswith("specsense-mc")}
@@ -653,7 +665,7 @@ class TestBlockScheduling:
             return batch(config, gammas, gen, n)
 
         monkeypatch.setattr(simkit, "_batch_decisions", spy)
-        with pytest.raises(FloatingPointError, match="H0"):
+        with block_pool(monkeypatch, 2), pytest.raises(FloatingPointError, match="H0"):
             sweep(GOLDEN_CONFIGS["noncoop"], [0.1 * i for i in range(50)],
                   GOLDEN_TRIALS, seed=3)
         assert others() == before

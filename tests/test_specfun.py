@@ -274,10 +274,11 @@ class TestHypergeom1F2:
         assert hypergeom_1f2(2.0, 3.0, 4.0, 0.25) == pytest.approx(oracle, rel=1e-12)
 
     def test_pole_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            hypergeom_1f2(2.0, -3.0, 4.0, 0.1)
-        with pytest.raises(ValueError):
-            hypergeom_1f2(2.0, 3.0, 0.0, 0.1)
+        # The last two: b1 * b2 underflows to 0 at the first term.
+        for args in [(2.0, -3.0, 4.0, 0.1), (2.0, 3.0, 0.0, 0.1),
+                     (1.0, 1e-300, 1e-300, 0.5), (1.0, 1e-200, 1e-200, 0.5)]:
+            with pytest.raises(ValueError):
+                hypergeom_1f2(*args)
 
     def test_non_convergence(self):
         with pytest.raises(ConvergenceError):
