@@ -64,23 +64,27 @@ class RandomStream:
         return np.random.Generator(np.random.SFC64(ss))
 
 
-def draw_snr(avg, gen: np.random.Generator, size) -> np.ndarray:
-    """Exponential(mean gamma_bar) SNR draws: gamma_bar * standard_exponential."""
+def draw_snr(avg, gen: np.random.Generator, size, out=None) -> np.ndarray:
+    """Exponential(mean gamma_bar) SNR draws: gamma_bar * standard_exponential.
+
+    With ``out`` (a float64 array of shape ``size``) the draws are written
+    into it and it is returned, so a caller can reuse one array.
+    """
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    x = gen.standard_exponential(size)
+    x = gen.standard_exponential(size, out=out)
     x *= gamma_bar  # in place, so a block holds one array instead of two
     return x
 
 
-def draw_best_snr(avg, gen: np.random.Generator, size, q: int) -> np.ndarray:
+def draw_best_snr(avg, gen: np.random.Generator, size, q: int, out=None) -> np.ndarray:
     """The largest of q Exponential(mean gamma_bar) SNRs, one uniform per draw.
 
     Inverse CDF of (1 - e^{-x/gamma_bar})^q: x = -gamma_bar log(1 - u^{1/q}),
     with 1 - u^{1/q} formed as -expm1(log(u) / q) so that it keeps its
-    relative precision as u^{1/q} nears 1.
+    relative precision as u^{1/q} nears 1.  ``out`` is as for ``draw_snr``.
     """
     gamma_bar = AvgSnr.coerce(avg).gamma_bar
-    u = gen.random(size)
+    u = gen.random(size, out=out)
     # u = 0 gives log(u) = -inf and then x = 0, the law's lower end.
     with np.errstate(divide="ignore"):
         np.log(u, out=u)

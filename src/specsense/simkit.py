@@ -15,17 +15,29 @@ escalating point keeps the counts of the blocks it has already drawn.  The
 pool is built at import, which starts no thread: an executor starts its
 threads at its first submit.
 
+A block allocates no float64 array of block size.  Each thread keeps one
+pair of float64 arrays, each two blocks long, built at its first block and
+lent to every later one (``_workspace``), so blocks draw into memory that is
+already mapped; only a coop H1 block with more than two votes, whose n
+smallest user values per trial do not fit, gets a pair of its own.
+Energies are drawn in place as twice a standard gamma, which is how numpy
+draws a chi-square, bit for bit.  Settled trials leave by one gather over
+the indices of those kept (``_compact``), written into the array of the
+pair that the step's draws no longer need; the two arrays then swap roles.
+
 One set of H1 draws serves a whole SNR grid (common random numbers).  A
 trial's energy statistics and unit-mean fades do not depend on the average
 SNR gamma_bar; only the signal term grows with it, so each H1 trial has a
-critical SNR c and decides "present" exactly when c < gamma_bar.  A block
-sorts its trials' c once and counts every grid point by binary search.  All
-points of a sweep therefore draw from one stream, and a point's bits depend
-on (seed, block, take) and on the grid's first and last SNR, which bound
-the draws (below).  Each point is still a binomial count of independent
-trials, so its confidence interval is unchanged, but the errors of the
-points along one curve are positively correlated, and at equal trial counts
-the estimated curve cannot rise.
+critical SNR c and decides "present" exactly when c < gamma_bar.  A trial
+with c below the grid's first SNR is present at every point and one at or
+above its last at none, so a block sorts only the c in between, once, and
+counts every grid point by binary search.  All points of a sweep therefore
+draw from one stream, and a point's bits depend on (seed, block, take) and
+on the grid's first and last SNR, which bound the draws (below).  Each
+point is still a binomial count of independent trials, so its confidence
+interval is unchanged, but the errors of the points along one curve are
+positively correlated, and at equal trial counts the estimated curve cannot
+rise.
 
 Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
@@ -47,6 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -86,6 +99,49 @@ def _critical_snr(lam: float, energy, weighted, out=None) -> np.ndarray:
     return np.fmin(out, np.inf, out=out)  # fmin maps NaN to the other operand
 
 
+def _chi_square(gen, half_dof, out) -> np.ndarray:
+    """chi-square(2 * half_dof) draws, written into ``out``.
+
+    numpy draws ``chisquare(2k)`` as ``2 * standard_gamma(k)``, so these are
+    its draws bit for bit, without an array of their own.
+    """
+    gen.standard_gamma(half_dof, out=out)
+    out *= 2
+    return out
+
+
+def _compact(keep, values, out) -> np.ndarray:
+    """The columns of ``values`` where ``keep`` holds, in order, at the front of ``out``.
+
+    One gather over the indices of ``keep``, the same for every row: a
+    boolean index would branch on each trial and build an array of its own.
+    """
+    where = np.flatnonzero(keep)
+    shape = values.shape[:-1] + (where.size,)
+    # No index needs clipping; unlike "raise", "clip" writes into out directly.
+    return np.take(values, where, axis=-1, out=out[:math.prod(shape)].reshape(shape),
+                   mode="clip")
+
+
+_local = threading.local()  # each thread's workspace pair
+
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 arrays of at least ``size`` values, for one block on this thread.
+
+    A thread builds its pair of ``2 * _BLOCK`` values each at its first block
+    and lends it to every later block, so that blocks draw into memory that
+    is already mapped.  A larger request (a coop H1 block with more than two
+    votes) gets a pair of its own, so that no thread keeps more than that.
+    """
+    if size > 2 * _BLOCK:
+        return np.empty(size), np.empty(size)
+    ws = getattr(_local, "ws", None)
+    if ws is None:
+        ws = _local.ws = (np.empty(2 * _BLOCK), np.empty(2 * _BLOCK))
+    return ws
+
+
 # The scheme methods call the analytic functions through this module's
 # globals at call time, so a wrapper installed on those bindings sees them
 # (the pf functions only when ``_pf_column`` misses).
@@ -96,12 +152,16 @@ class _Noncoop:
     a placeholder threshold; ``threshold`` returns them with the threshold
     set so that the scheme's P_F equals alpha.  ``analytic`` takes the P_F
     column from ``pf`` once per payload; ``describe`` gives the payload's
-    part of what ``specsense calibrate`` prints.  ``false_alarms`` counts a
-    block's "present" decisions under H0.  ``critical_snrs`` draws a block
-    under H1 for a grid of average SNRs from ``lo`` to ``hi``: it returns how
-    many trials it found present at every SNR of the grid, and the critical
-    SNR of each trial it has not settled (``_critical_snr``); a trial it
-    found absent at every SNR of the grid is in neither.
+    part of what ``specsense calibrate`` prints.  ``false_alarms`` counts the
+    "present" decisions of a block of n trials under H0.  ``critical_snrs``
+    draws such a block under H1 for a grid of average SNRs from ``lo`` to
+    ``hi``: it returns how many trials it found present at every SNR of the
+    grid, and the critical SNR of each trial it has not settled
+    (``_critical_snr``); a trial it found absent at every SNR of the grid is
+    in neither.  Both draw into the workspace ``ws``, a pair of float64
+    arrays of at least n values each under H0 and ``rows(p) * n`` under H1,
+    and allocate nothing of block size; the critical SNRs lie in ``ws[0]``,
+    and ``ws[1]`` is left free for the caller.
     """
 
     variant = scenario = "noncoop"
@@ -125,17 +185,22 @@ class _Noncoop:
     def describe(self, p) -> tuple[str, str]:
         return f"M={p.m}", f"lambda={p.lam:.10g} pf={self.pf(p):.10g}"
 
-    def false_alarms(self, p, gen, n: int) -> int:
-        return int(np.count_nonzero(gen.chisquare(2 * p.m, n) > p.lam))
+    def rows(self, p) -> int:
+        """Values per trial that ``critical_snrs`` may keep in each workspace array."""
+        return 2
 
-    def fade(self, p, gen, size) -> np.ndarray:
-        """Unit-mean fades of the window's one antenna state."""
-        return draw_snr(1.0, gen, size)
+    def false_alarms(self, p, gen, n: int, ws) -> int:
+        return int(np.count_nonzero(_chi_square(gen, p.m, ws[0][:n]) > p.lam))
 
-    # Products are formed in place so that concurrent blocks stay small.
-    def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
-        energy = gen.chisquare(2 * p.m, n)
-        weighted = self.fade(p, gen, n)
+    def fade(self, p, gen, out) -> np.ndarray:
+        """Unit-mean fades of the window's one antenna state, written into ``out``."""
+        return draw_snr(1.0, gen, out.size, out=out)
+
+    # The energies and fades go to the two workspace arrays, and each
+    # trial's critical SNR overwrites its energy.
+    def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
+        energy = _chi_square(gen, p.m, ws[0][:n])
+        weighted = self.fade(p, gen, ws[1][:n])
         weighted *= energy
         return 0, _critical_snr(p.lam, energy, weighted, out=energy)
 
@@ -174,48 +239,66 @@ class _Coop(_Noncoop):
                 f"lambda={d.lam:.10g} local_pf={pf_single(d.m, d.lam):.10g} "
                 f"global_pf={self.pf(p):.10g}")
 
+    def rows(self, p) -> int:
+        return max(2, p.n_vote)
+
     # Users report one at a time, and only the undecided trials draw the
     # next report: a trial is present once it has n_vote votes, absent once
-    # its votes plus the users still to report fall short of n_vote.
-    def false_alarms(self, p, gen, n: int) -> int:
+    # its votes plus the users still to report fall short of n_vote.  The
+    # votes (small whole numbers, exact as floats) and the draws take turns
+    # in the two workspace arrays: the undecided trials' votes are compacted
+    # into the array that held the draws.
+    def false_alarms(self, p, gen, n: int, ws) -> int:
         d = p.per_user
         present = 0
-        votes = np.zeros(n, dtype=np.int64)  # of the undecided trials
+        held, spare = ws
+        votes = held[:n]  # of the undecided trials
+        votes.fill(0.0)
         for users_left in range(p.n_users - 1, -1, -1):
-            votes += gen.chisquare(2 * d.m, votes.size) > d.lam
+            votes += _chi_square(gen, d.m, spare[:votes.size]) > d.lam
             won = votes >= p.n_vote
             present += int(np.count_nonzero(won))
-            votes = votes[~won & (votes + users_left >= p.n_vote)]
+            votes = _compact(~won & (votes >= p.n_vote - users_left), votes, spare)
+            held, spare = spare, held
             if not votes.size:
                 break
         return present
 
-    # Under H1 only the unsettled trials draw the next report.  top[k] holds
-    # each such trial's (k+1)-th smallest user value so far, so top[-1] is
-    # the n-th smallest: the trial is present at every SNR of [lo, hi] once
-    # top[-1] < lo, and absent at every one once its values below hi plus
-    # the users still to report fall short of n_vote, that is once
-    # top[n_vote - users_left - 1] >= hi.
-    def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
+    # Under H1 only the unsettled trials draw the next report.  Row k of
+    # top holds each such trial's (k+1)-th smallest user value so far, so
+    # top[-1] is the n-th smallest: the trial is present at every SNR of
+    # [lo, hi] once top[-1] < lo, and absent at every one once its values
+    # below hi plus the users still to report fall short of n_vote, that is
+    # once top[n_vote - users_left - 1] >= hi.  As with the votes, top and
+    # the draws take turns in the workspace arrays, and one compaction moves
+    # all n_vote rows.
+    def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
         settled = 0
-        top = [np.full(n, np.inf) for _ in range(p.n_vote)]
+        held, spare = ws
+        top = held[:p.n_vote * n].reshape(p.n_vote, n)
+        top.fill(np.inf)
         for users_left in range(p.n_users - 1, -1, -1):
-            _, c = super().critical_snrs(p.per_user, lo, hi, gen, top[0].size)
-            for k in range(p.n_vote - 1):  # insert c; the larger value moves on
-                smaller = np.minimum(top[k], c)
-                np.maximum(top[k], c, out=c)
-                top[k] = smaller
+            k = top.shape[1]
+            # c lies in spare[:k], and spare[k:2k] is free once c is formed.
+            _, c = super().critical_snrs(p.per_user, lo, hi, gen, k, (spare, spare[k:]))
+            free = spare[k:2 * k]
+            for j in range(p.n_vote - 1):  # insert c; the larger value moves on
+                np.maximum(top[j], c, out=free)
+                np.minimum(top[j], c, out=top[j])
+                c, free = free, c
             np.minimum(top[-1], c, out=top[-1])
-            del c  # so that the next user's draws are not made beside it
             won = top[-1] < lo
             keep = ~won
             if users_left < p.n_vote:  # it needs that many values below hi
                 keep &= top[p.n_vote - users_left - 1] < hi
             settled += int(np.count_nonzero(won))
-            top = [t[keep] for t in top]
-            if not top[0].size:
+            top = _compact(keep, top, spare)
+            held, spare = spare, held
+            if not top.shape[1]:
                 break
-        return settled, top[-1]
+        c = ws[0][:top.shape[1]]
+        np.copyto(c, top[-1])  # copies nothing when top[-1] already lies there
+        return settled, c
 
 
 class _Switching(_Noncoop):
@@ -240,24 +323,28 @@ class _Switching(_Noncoop):
 
     # Under H1 the states add in dwell order, and only the trials not yet
     # present at lo draw the next state: every term is >= 0, so a trial's
-    # critical SNR only falls as states add.
-    def critical_snrs(self, p, lo: float, hi: float, gen, n: int):
+    # critical SNR only falls as states add.  The running sums of the
+    # unsettled trials are the two rows of one array, and they and the
+    # draws take turns in the workspace arrays, as coop's votes do.
+    def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
         settled = 0
-        energy, weighted = np.zeros(n), np.zeros(n)  # running sums of the unsettled trials
+        held, spare = ws
+        sums = held[:2 * n].reshape(2, n)  # energy and weighted
+        sums.fill(0.0)
         for dwell in p.alloc:
-            x = gen.chisquare(2 * dwell, energy.size)
-            fade = self.fade(p, gen, energy.size)
+            k = sums.shape[1]
+            x = _chi_square(gen, dwell, spare[:k])
+            fade = self.fade(p, gen, spare[k:2 * k])
             fade *= x
-            energy += x
-            weighted += fade
-            keep = _critical_snr(p.lam, energy, weighted, out=x) >= lo
-            del x, fade  # so that a block holds at most four arrays
-            settled += keep.size - int(np.count_nonzero(keep))
-            energy = energy[keep]
-            weighted = weighted[keep]
-            if not energy.size:
+            sums[0] += x
+            sums[1] += fade
+            keep = _critical_snr(p.lam, sums[0], sums[1], out=x) >= lo
+            settled += k - int(np.count_nonzero(keep))
+            sums = _compact(keep, sums, spare)
+            held, spare = spare, held
+            if not sums.shape[1]:
                 break
-        return settled, _critical_snr(p.lam, energy, weighted)
+        return settled, _critical_snr(p.lam, sums[0], sums[1], out=ws[0][:sums.shape[1]])
 
 
 class _Selection(_Switching):
@@ -273,8 +360,8 @@ class _Selection(_Switching):
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), avg_pmd_selection(p.m, p.lam, avg, p.q)
 
-    def fade(self, p, gen, size) -> np.ndarray:
-        return draw_best_snr(1.0, gen, size, p.q)
+    def fade(self, p, gen, out) -> np.ndarray:
+        return draw_best_snr(1.0, gen, out.size, p.q, out=out)
 
 
 #: The sensing schemes by ``SchemeConfig.variant`` and by scenario name.
@@ -392,15 +479,26 @@ def _batch_decisions(config: SchemeConfig, gammas: np.ndarray | None,
     """How many of n trials of one scheme decide "present".
 
     Under H0 (``gammas`` None) one count; under H1 one count per average SNR
-    of the strictly increasing linear grid ``gammas``, from one sort of the
-    trials' critical SNRs.
+    of the strictly increasing linear grid ``gammas``.  A trial whose
+    critical SNR lies below the grid's first SNR is present at every point
+    and one at or above its last at none, so only the critical SNRs in
+    between are sorted, and each point counts them by binary search.  The
+    block draws into its thread's workspace (``_workspace``); the counts it
+    returns are an array of their own.
     """
     scheme, p = config.scheme, config.payload
     if gammas is None:
-        return np.array([scheme.false_alarms(p, gen, n)])
-    settled, c = scheme.critical_snrs(p, gammas[0], gammas[-1], gen, n)
-    c.sort()
-    return settled + np.searchsorted(c, gammas)
+        return np.array([scheme.false_alarms(p, gen, n, _workspace(n))])
+    ws = _workspace(scheme.rows(p) * n)
+    lo, hi = gammas[0], gammas[-1]
+    settled, c = scheme.critical_snrs(p, lo, hi, gen, n, ws)
+    below = c < lo
+    settled += int(np.count_nonzero(below))
+    inside = c < hi
+    inside ^= below  # lo <= c < hi, as lo <= hi
+    window = _compact(inside, c, ws[1])
+    window.sort()
+    return settled + np.searchsorted(window, gammas)
 
 
 class _Stream:

@@ -195,7 +195,8 @@ class TestBestStateSampling:
     @pytest.mark.parametrize("q", [1, 4, 10])
     def test_both_ends_of_the_uniform_range(self, q):
         class EndsOfRange:
-            def random(self, size):
+            def random(self, size, out=None):
+                assert out is None
                 return np.array([0.0, 1.0 - 2.0 ** -53])
 
         with warnings.catch_warnings():

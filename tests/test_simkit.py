@@ -391,21 +391,32 @@ class TestGridDrawsKeepTheLaw:
         self.assert_never_rises(curve)
 
 
+def _filled(value, size, out):
+    if out is None:
+        return np.full(size, value)
+    out.fill(value)
+    return out
+
+
 class ScriptedDraws:
-    """A generator stand-in: call k returns scripted value k for every trial."""
+    """A generator stand-in: call k returns scripted value k for every trial.
+
+    The scripted energies are chi-square values, which the engine draws as
+    twice a standard gamma.
+    """
 
     def __init__(self, energies, fades):
         self.energies, self.fades = list(energies), list(fades)
 
-    def chisquare(self, df, size):
-        return np.full(size, float(self.energies.pop(0)))
+    def standard_gamma(self, shape, size=None, out=None):
+        return _filled(float(self.energies.pop(0)) / 2, size, out)
 
-    def standard_exponential(self, size):
-        return np.full(size, float(self.fades.pop(0)))
+    def standard_exponential(self, size=None, out=None):
+        return _filled(float(self.fades.pop(0)), size, out)
 
-    def random(self, size):  # u = 0 is the best-of-Q fade 0
+    def random(self, size=None, out=None):  # u = 0 is the best-of-Q fade 0
         assert self.fades.pop(0) == 0.0
-        return np.zeros(size)
+        return _filled(0.0, size, out)
 
 
 LAM = 12.0
@@ -444,6 +455,15 @@ class TestDegenerateDraws:
         ("selection", SchemeConfig.selection(4, 20, LAM, 1.0), [LAM], [0.0]),
         ("selection", SchemeConfig.selection(4, 20, LAM, 1.0), [2 * LAM], [0.0]),
         ("selection", SchemeConfig.selection(4, 20, LAM, 1.0), [LAM / 2], [0.0]),
+        # A critical SNR exactly at the grid's first SNR, (12 - 8) / 8 = 0.5,
+        # or at its last, (12 - 4) / 4 = 2.0, both exact in binary.  A trial
+        # reads present only above it: from the second point on, or nowhere.
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [8.0], [1.0]),
+        ("noncoop", SchemeConfig.noncoop(10, LAM, 1.0), [4.0], [1.0]),
+        ("coop", SchemeConfig.coop(2, 1, 10, LAM, 1.0), [8.0, 4.0], [1.0, 1.0]),
+        ("coop", SchemeConfig.coop(2, 2, 10, LAM, 1.0), [8.0, 4.0], [1.0, 1.0]),
+        ("switching", SchemeConfig.switching(2, 20, LAM, 1.0), [4.0, 4.0], [1.0, 1.0]),
+        ("switching", SchemeConfig.switching(2, 20, LAM, 1.0), [2.0, 2.0], [1.0, 1.0]),
     ]
 
     @pytest.mark.parametrize("name, config, energies, fades", CASES,
@@ -461,8 +481,8 @@ def _fades_per_trial(monkeypatch, config, hypothesis):
     """Fades drawn per trial by one full block of ``config``."""
     drawn = []
 
-    def spy(avg, gen, size):
-        out = draw_snr(avg, gen, size)
+    def spy(avg, gen, size, **kwargs):
+        out = draw_snr(avg, gen, size, **kwargs)
         drawn.append(out.size)
         return out
 
@@ -525,6 +545,17 @@ GOLDEN_CONFIGS = {
 }
 
 
+# Exact per-point miss counts, and the shared false-alarm count, of two
+# fixed-budget sweeps (GOLDEN_TRIALS, seed 2024).  A one-SNR golden has no
+# trial between the grid's ends; these pin the window of critical SNRs that a
+# block sorts, and the compaction of the trials still undecided over a grid.
+GOLDEN_SWEEP_GRID_DB = [0.0, 2.5, 5.0, 7.5, 10.0]
+GOLDEN_SWEEP_MISSES = {
+    "coop": ([42515, 15789, 4664, 1070, 205], 8540),
+    "switching": ([34841, 10929, 2444, 405, 62], 11528),
+}
+
+
 # noncoop M = 10 at 35 dB escalates 1000 -> 1e4 -> 1e5 -> 1e6 trials.
 DEEP = SchemeConfig.noncoop(10, 31.410432844230918, AvgSnr.from_db(35.0))
 
@@ -565,6 +596,14 @@ class TestGoldenCounts:
         hits = GOLDEN_HITS[scheme, hypothesis]
         assert stats.binomtest(hits, GOLDEN_TRIALS, p).pvalue > 1e-6
 
+    @pytest.mark.parametrize("scheme", sorted(GOLDEN_SWEEP_MISSES))
+    def test_exact_sweep_misses(self, scheme):
+        curve = sweep(GOLDEN_CONFIGS[scheme], GOLDEN_SWEEP_GRID_DB, GOLDEN_TRIALS, seed=2024)
+        misses, false_alarms = GOLDEN_SWEEP_MISSES[scheme]
+        assert [p.pmd.trials for p in curve.points] == [GOLDEN_TRIALS] * len(misses)
+        assert [p.pmd.events for p in curve.points] == misses, GOLDEN_NOTE
+        assert curve.points[0].pf.events == false_alarms, GOLDEN_NOTE
+
     def test_escalated_point(self):
         est = escalated_deep_point()
         assert est.trials == 10 ** 6, GOLDEN_NOTE
@@ -573,6 +612,53 @@ class TestGoldenCounts:
     def test_escalation_equals_fixed_budget(self):
         est = escalated_deep_point()
         assert est == estimate_point(DEEP, "H1", est.trials, seed=7)
+
+
+class TestBlockWorkspace:
+    """Blocks draw into their thread's reused arrays and keep every bit."""
+
+    # The engine draws chi-square(2k) as twice a standard gamma, in place.
+    @pytest.mark.parametrize("k", [1, 4, 5, 8, 10, 20, 1737])
+    def test_twice_standard_gamma_is_chisquare(self, k):
+        stream = RandomStream(seed=9, stream_id=k)
+        want = stream.generator().chisquare(2 * k, 4096)
+        got = simkit._chi_square(stream.generator(), k, np.empty(4096))
+        assert got.tobytes() == want.tobytes(), GOLDEN_NOTE
+
+    GAMMAS = np.array([AvgSnr.from_db(s).gamma_bar for s in GOLDEN_SWEEP_GRID_DB])
+    CONFIGS = [GOLDEN_CONFIGS[name] for name in ("noncoop", "coop", "switching", "selection")] + [
+        # Three votes: a full H1 block needs more than the thread's pair.
+        SchemeConfig.coop(5, 3, 8, 1.0, 1.0, alpha=0.05),
+    ]
+
+    @staticmethod
+    def block(job):
+        i, config, gammas, n = job
+        gen = RandomStream(seed=11, stream_id=i).generator()
+        return simkit._batch_decisions(config, gammas, gen, n)
+
+    def jobs(self):
+        sizes = [simkit._BLOCK, 3392, simkit._BLOCK, 1000]
+        return [(i, config, gammas, n) for i, n in enumerate(sizes)
+                for config in self.CONFIGS for gammas in (None, self.GAMMAS)]
+
+    # A block that left stale values in the arrays (running sums not zeroed,
+    # votes carried over) would count differently after another block.
+    def test_blocks_back_to_back_count_as_on_a_fresh_thread(self):
+        jobs = self.jobs()
+        with ThreadPoolExecutor(max_workers=1) as one:
+            reused = list(one.map(self.block, jobs))
+        fresh = []
+        for job in jobs:
+            with ThreadPoolExecutor(max_workers=1) as new:
+                fresh.append(new.submit(self.block, job).result())
+        assert [list(c) for c in reused] == [list(c) for c in fresh]
+
+    def test_counts_share_no_memory_with_the_workspace(self):
+        for job in self.jobs():
+            counts = self.block(job)
+            pair = simkit._workspace(2 * simkit._BLOCK)  # this thread's
+            assert not any(np.shares_memory(counts, w) for w in pair), job[:1]
 
 
 @contextlib.contextmanager
