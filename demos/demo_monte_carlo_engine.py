@@ -8,6 +8,8 @@ CPU affinity, and each escalation step reuses the complete blocks already
 counted.  All points of a sweep share one stream: each trial is drawn once
 and counted at every SNR of the grid through its critical SNR, so a point's
 bits depend on (seed, block, take) and on the grid's first and last SNR.
+An escalating sweep escalates as one stream, while any point is short of
+misses, so every point of section 4 reports the same trial count.
 Per-point confidence intervals are unchanged, but the errors along a curve
 are correlated.
 

@@ -31,8 +31,8 @@ import numpy as np
 
 from .channel import AvgSnr
 from .reconfig import reduced_samples
-from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _MIN_TRIALS, _Z99, SCENARIO_SCHEMES,
-                     SchemeConfig, estimate_point, fit_diversity_slope, sweep)
+from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _Z99, SCENARIO_SCHEMES, SchemeConfig,
+                     _check_budget, estimate_point, fit_diversity_slope, sweep)
 from .specfun import ConvergenceError
 
 _MODES = ("analytic", "mc", "both")
@@ -81,9 +81,7 @@ class ScenarioFile:
             raise ValueError("snr_stop_db must be >= snr_start_db")
         if self._grid_steps() >= _MAX_GRID_POINTS:  # counted before any point is made
             raise ValueError(f"the SNR grid must have at most {_MAX_GRID_POINTS} points")
-        if not _MIN_TRIALS <= self.trials <= _MAX_TRIALS:
-            raise ValueError(
-                f"trials must be in [{_MIN_TRIALS}, {_MAX_TRIALS}], got {self.trials}")
+        _check_budget(self.trials, None, _MAX_TRIALS)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

@@ -11,7 +11,7 @@ given seed and total trial count no matter how blocks are scheduled.  A
 block returns its counts of "present" decisions, and counts merge by
 integer addition.  Blocks run concurrently on a thread pool sized to the
 CPU affinity (numpy's generators and ufuncs release the GIL), and an
-escalating point keeps the counts of the blocks it has already drawn.  The
+escalating stream keeps the counts of the blocks it has already drawn.  The
 pool is built at import, which starts no thread: an executor starts its
 threads at its first submit.
 
@@ -36,8 +36,8 @@ draw from one stream, and a point's bits depend on (seed, block, take) and
 on the grid's first and last SNR, which bound the draws (below).  Each
 point is still a binomial count of independent trials, so its confidence
 interval is unchanged, but the errors of the points along one curve are
-positively correlated, and at equal trial counts the estimated curve cannot
-rise.
+positively correlated.  Every point of a sweep reports at its stream's one
+trial total, escalated or not, so the estimated curve cannot rise.
 
 Per-window energy statistics are drawn from their exact sampling laws
 (chi-square sums of the per-sample energies under the unit-variance-per-real-
@@ -505,7 +505,8 @@ class _Stream:
     """The blocks of one substream, each counted at every point it serves.
 
     ``gammas`` is the H1 grid, or None for the one H0 point.  With
-    ``min_events`` set, each point escalates on its own counts.
+    ``min_events`` set, the stream escalates as one unit: while any of its
+    points is short of that many "absent" decisions.
     """
 
     def __init__(self, config: SchemeConfig, gammas, seed: int, stream_id: int,
@@ -516,10 +517,6 @@ class _Stream:
         # every escalation step; a partial last block is drawn again at its
         # new size.
         self.counted: dict[tuple[int, int], np.ndarray] = {}
-
-    @property
-    def points(self) -> int:
-        return 1 if self.gammas is None else len(self.gammas)
 
     def count(self, block: tuple[int, int]) -> np.ndarray:
         block_idx, take = block
@@ -533,32 +530,28 @@ class _Stream:
 def _estimate(streams: list[_Stream], trials: int, max_trials: int) -> list[list[McEstimate]]:
     """Every point of every stream, from ``trials`` trials or escalated.
 
-    A point short of its stream's ``min_events`` "absent" decisions
-    escalates tenfold, capped at ``max_trials``.  Each round draws, in one
-    map over the block pool, only the blocks that no earlier round has
-    counted, so escalating to T trials gives the same bits as asking for T
-    trials at once.
+    A stream with a point short of its ``min_events`` "absent" decisions
+    escalates tenfold, capped at ``max_trials``, and every point of a stream
+    reports at the stream's final total.  Each round draws, in one map over
+    the block pool, only the blocks that no earlier round has counted, so
+    escalating to T trials gives the same bits as asking for T trials at
+    once.
     """
-    totals = [[trials] * stream.points for stream in streams]
+    totals = [trials] * len(streams)
     while True:
-        todo = list(dict.fromkeys(
-            (stream, block) for stream, ts in zip(streams, totals)
-            for total in sorted(set(ts)) for block in _block_plan(total)
-            if block not in stream.counted))
+        todo = [(stream, block) for stream, total in zip(streams, totals)
+                for block in _block_plan(total) if block not in stream.counted]
         for (stream, block), counts in zip(todo, _map(lambda job: job[0].count(job[1]), todo)):
             stream.counted[block] = counts
-        hits = [{total: stream.hits(total) for total in set(ts)}
-                for stream, ts in zip(streams, totals)]
-        grew = False
-        for stream, ts, at in zip(streams, totals, hits):
-            for i, total in enumerate(ts):
-                if (stream.min_events is not None and total < max_trials
-                        and total - at[total][i] < stream.min_events):
-                    ts[i] = min(total * 10, max_trials)
-                    grew = True
-        if not grew:
-            return [[McEstimate.from_counts(int(at[total][i]), total) for i, total in enumerate(ts)]
-                    for ts, at in zip(totals, hits)]
+        hits = [stream.hits(total) for stream, total in zip(streams, totals)]
+        short = [stream.min_events is not None and total < max_trials
+                 and (total - at).min() < stream.min_events
+                 for stream, total, at in zip(streams, totals, hits)]
+        if not any(short):
+            return [[McEstimate.from_counts(int(h), total) for h in at]
+                    for total, at in zip(totals, hits)]
+        totals = [min(total * 10, max_trials) if grow else total
+                  for total, grow in zip(totals, short)]
 
 
 def _check_budget(trials: int, min_events: int | None, max_trials: int) -> None:
@@ -653,9 +646,9 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
     estimates, but the errors along the curve are correlated.
 
     Pass ``min_events`` (``_MIN_EVENTS`` for slope fits) to escalate deep-tail points until
-    they carry enough missed-detection events for slope fitting; each point
-    escalates on its own counts.  Leave it None for fixed-budget figure
-    exports.
+    they carry enough missed-detection events for slope fitting; the H1
+    stream escalates while any point is short, and every point reports at
+    its final total.  Leave it None for fixed-budget figure exports.
 
     The H0 and H1 blocks of each round go to the block pool in one map.
     """

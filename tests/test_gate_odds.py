@@ -13,8 +13,14 @@ without drawing a trial, under two models of the draws:
   differences of the exact misses, and a point's misses are the trials in
   the bins above it.
 
-Both ignore the redraw of a partial last block at a larger take.  The
-printed probabilities are for the record; the test asserts only the
+and under two stopping rules:
+
+- own total: each point escalates on its own misses;
+- stream total: the stream escalates while any point is short, so every
+  point stops at the largest of the points' own stops (``sweep``'s rule).
+
+Both models ignore the redraw of a partial last block at a larger take.
+The printed probabilities are for the record; the test asserts only the
 binomial algebra of the simulator on toy cases.
 """
 
@@ -41,12 +47,14 @@ def ladder(trials: int, max_trials: int) -> list[int]:
     return steps
 
 
-def simulate_misses(pmds, trials, min_events, max_trials, *, common, replicates, rng):
+def simulate_misses(pmds, trials, min_events, max_trials, *, common, replicates, rng,
+                    stream_total=False):
     """(trials, misses) of each grid point, shape (replicates, points).
 
     ``pmds`` are the exact misses along an increasing SNR grid.  Each point
     escalates tenfold on its own misses until it has ``min_events`` of them
-    or reaches ``max_trials``.
+    or reaches ``max_trials``; with ``stream_total`` every point of a
+    replicate stops at the largest of those stops.
     """
     pmds = np.asarray(pmds, dtype=float)
     steps = ladder(trials, max_trials)
@@ -63,18 +71,21 @@ def simulate_misses(pmds, trials, min_events, max_trials, *, common, replicates,
     cum = np.cumsum(per_step, axis=1)
     reached = cum >= min_events
     stop = np.where(reached.any(axis=1), reached.argmax(axis=1), len(steps) - 1)
+    if stream_total:
+        stop = np.broadcast_to(stop.max(axis=1, keepdims=True), stop.shape)
     misses = np.take_along_axis(cum, stop[:, None, :], axis=1)[:, 0]
     return np.asarray(steps)[stop], misses
 
 
-def pass_probability(pmds, grid_db, want, band, *, common, rng):
+def pass_probability(pmds, grid_db, want, band, *, rng, **model):
     """Share of simulated redraws whose fitted slope lies in want +- band.
 
-    The fit is ``fit_diversity_slope``'s: points with fewer than 100 misses
-    are left out, and fewer than 3 points left fails.
+    ``model`` is ``simulate_misses``'s ``common`` and ``stream_total``.  The
+    fit is ``fit_diversity_slope``'s: points with fewer than 100 misses are
+    left out, and fewer than 3 points left fails.
     """
     totals, misses = simulate_misses(pmds, TRIALS, MIN_EVENTS, MAX_TRIALS,
-                                     common=common, replicates=REPLICATES, rng=rng)
+                                     replicates=REPLICATES, rng=rng, **model)
     use = misses >= MIN_EVENTS
     x = np.broadcast_to(np.asarray(grid_db) / 10.0, use.shape)
     y = np.log10(np.where(use, misses, 1) / totals)
@@ -88,20 +99,25 @@ def pass_probability(pmds, grid_db, want, band, *, common, rng):
     return float(np.mean((k >= 3) & (np.abs(slope - want) <= band)))
 
 
+#: The draws of ``sweep`` before and since each stream kept one trial total.
+MODELS = {"common, own total": {"common": True},
+          "common, stream total": {"common": True, "stream_total": True}}
+
+
 def test_print_criterion_7_failure_odds():
     rng = np.random.default_rng(7)
-    lines, survive = [], {False: 1.0, True: 1.0}
+    lines, survive = [], dict.fromkeys(MODELS, 1.0)
     for name, config, grid, want, band, _ in RUNS:
         pmds = [analytic_columns(config, s)[1] for s in grid]
         fails = {}
-        for common in (False, True):
-            fails[common] = 1.0 - pass_probability(pmds, grid, want, band,
-                                                   common=common, rng=rng)
-            survive[common] *= 1.0 - fails[common]
-        lines.append(f"{name}: P(fail) independent {fails[False]:.4f}, "
-                     f"common {fails[True]:.4f}")
-    lines.append(f"any of these: independent {1.0 - survive[False]:.4f}, "
-                 f"common {1.0 - survive[True]:.4f} (switching has no exact miss)")
+        for label, model in MODELS.items():
+            fails[label] = 1.0 - pass_probability(pmds, grid, want, band, rng=rng, **model)
+            survive[label] *= 1.0 - fails[label]
+        lines.append(f"{name}: P(fail) " + "; ".join(
+            f"{label} {fail:.4f}" for label, fail in fails.items()))
+    lines.append("any of these: " + "; ".join(
+        f"{label} {1.0 - s:.4f}" for label, s in survive.items())
+        + " (switching has no exact miss)")
     print("criterion 7 failure odds, "
           f"{REPLICATES} simulated redraws each\n  " + "\n  ".join(lines))
 
@@ -132,6 +148,18 @@ class TestSimulatorAlgebra:
         q = p[0] - p[1]
         assert abs(gap.mean() - n * q) <= 5 * math.sqrt(n * q * (1 - q) / reps)
         assert gap.var() == pytest.approx(n * q * (1 - q), rel=0.05)
+
+    @pytest.mark.parametrize("common", [False, True])
+    def test_stream_total_is_the_largest_own_stop(self, common):
+        pmds, n, floor, reps = (0.05, 0.01, 0.002), 1000, 20, 2000
+        own, own_misses = simulate_misses(pmds, n, floor, 100 * n, common=common,
+                                          replicates=reps, rng=np.random.default_rng(4))
+        stream, misses = simulate_misses(pmds, n, floor, 100 * n, common=common,
+                                         replicates=reps, rng=np.random.default_rng(4),
+                                         stream_total=True)
+        assert len(np.unique(own)) == 3  # the toy case reaches every step
+        assert np.all(stream == own.max(axis=1, keepdims=True))
+        assert np.all(misses >= own_misses)
 
     @pytest.mark.parametrize("common", [False, True])
     def test_escalation_share_is_the_binomial_cdf(self, common):

@@ -612,6 +612,17 @@ class TestGoldenCounts:
     def test_escalation_equals_fixed_budget(self):
         est = escalated_deep_point()
         assert est == estimate_point(DEEP, "H1", est.trials, seed=7)
+        # An escalating sweep's H1 stream stops as one unit: every point at
+        # the 35 dB point's 1e6 trials, with the bits of that budget asked for
+        # at once.  (The H0 check does not escalate.)
+        args, kwargs = SWEEPS[1]
+        curve = sweep(*args, **kwargs)
+        assert [p.pmd.trials for p in curve.points] == [10 ** 6] * len(curve.points)
+        config, grid, _, seed = args
+        fixed = sweep(config, grid, 10 ** 6, seed)
+        assert [p.pmd for p in curve.points] == [p.pmd for p in fixed.points]
+        pmds = [p.pmd.value for p in curve.points]
+        assert pmds == sorted(pmds, reverse=True)
 
 
 class TestBlockWorkspace:
