@@ -44,14 +44,14 @@ Per-window energy statistics are drawn from their exact sampling laws
 dimension convention), which is distributionally identical to summing squared
 per-sample draws and two orders of magnitude faster.
 
-A trial draws only what can still change its decision anywhere on the grid.
-Cooperative users report one at a time, and a trial stops once its vote is
-settled at every grid SNR: present at the first, or short of n votes at the
-last; switching states add in dwell order (the equal split of M over Q), and
-a trial stops once it is present at the first grid SNR; selection draws the
-best state's fade from the max-of-Q law (``channel.draw_best_snr``) with one
-uniform, not Q fades.  Under H0 no fade is drawn, and a trial decides
-present when its energy exceeds the threshold.
+A trial draws only what can still change its decision anywhere on the grid,
+and ``_batch_decisions`` settles what the last state or user leaves open.
+Switching states add in dwell order (the equal split of M over Q), and a
+trial stops once it is present at the first grid SNR; noncoop, selection
+(whose best-state fade is one uniform, ``channel.draw_best_snr``) and each
+cooperative user are that loop with one dwell.  Users report one at a time,
+and a trial stops once its vote is settled at every grid SNR: present at the
+first, or short of n votes at the last.  Under H0 no fade is drawn.
 """
 
 from __future__ import annotations
@@ -154,14 +154,14 @@ class _Noncoop:
     column from ``pf`` once per payload; ``describe`` gives the payload's
     part of what ``specsense calibrate`` prints.  ``false_alarms`` counts the
     "present" decisions of a block of n trials under H0.  ``critical_snrs``
-    draws such a block under H1 for a grid of average SNRs from ``lo`` to
-    ``hi``: it returns how many trials it found present at every SNR of the
-    grid, and the critical SNR of each trial it has not settled
-    (``_critical_snr``); a trial it found absent at every SNR of the grid is
-    in neither.  Both draw into the workspace ``ws``, a pair of float64
-    arrays of at least n values each under H0 and ``rows(p) * n`` under H1,
-    and allocate nothing of block size; the critical SNRs lie in ``ws[0]``,
-    and ``ws[1]`` is left free for the caller.
+    draws such a block under H1, one state of ``dwells`` at a time, for a
+    grid of SNRs from ``lo`` to ``hi``: it returns how many trials it found
+    present at every SNR of the grid, and the critical SNR (``_critical_snr``)
+    of each trial still open after its last stage, for the caller to settle;
+    a trial found absent at every SNR is in neither.  Both draw into the
+    workspace ``ws``, a pair of float64 arrays of at least n values each
+    under H0 and ``rows(p) * n`` under H1, and allocate nothing of block
+    size; the critical SNRs lie in ``ws[0]``, ``ws[1]`` free for the caller.
     """
 
     variant = scenario = "noncoop"
@@ -189,20 +189,37 @@ class _Noncoop:
         """Values per trial that ``critical_snrs`` may keep in each workspace array."""
         return 2
 
+    def dwells(self, p) -> tuple[int, ...]:
+        return (p.m,)  # one antenna state for the whole window
+
     def false_alarms(self, p, gen, n: int, ws) -> int:
         return int(np.count_nonzero(_chi_square(gen, p.m, ws[0][:n]) > p.lam))
 
     def fade(self, p, gen, out) -> np.ndarray:
-        """Unit-mean fades of the window's one antenna state, written into ``out``."""
+        """Unit-mean fades of one antenna state, written into ``out``."""
         return draw_snr(1.0, gen, out.size, out=out)
 
-    # The energies and fades go to the two workspace arrays, and each
-    # trial's critical SNR overwrites its energy.
+    # Under H1 the states add in dwell order, and only the trials still open
+    # (not yet present at lo) draw the next state: every term is >= 0, so a
+    # critical SNR only falls as states add.  The first state is drawn into
+    # the running sums; the open trials' sums then move to the other array,
+    # as coop's votes do, and each later state is drawn into the one left.
     def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
-        energy = _chi_square(gen, p.m, ws[0][:n])
-        weighted = self.fade(p, gen, ws[1][:n])
-        weighted *= energy
-        return 0, _critical_snr(p.lam, energy, weighted, out=energy)
+        held, spare = ws
+        first, *rest = self.dwells(p)
+        sums = self._state(p, first, gen, held[:2 * n].reshape(2, n))
+        for dwell in rest:
+            keep = _critical_snr(p.lam, *sums, out=spare[:sums.shape[1]]) >= lo
+            sums = _compact(keep, sums, spare)
+            held, spare = spare, held
+            sums += self._state(p, dwell, gen, spare[:sums.size].reshape(sums.shape))
+        return n - sums.shape[1], _critical_snr(p.lam, *sums, out=ws[0][:sums.shape[1]])
+
+    def _state(self, p, dwell: int, gen, out) -> np.ndarray:  # rows: energy, fade * energy
+        _chi_square(gen, dwell, out[0])
+        self.fade(p, gen, out[1])
+        out[1] *= out[0]
+        return out
 
 
 class _Coop(_Noncoop):
@@ -264,14 +281,14 @@ class _Coop(_Noncoop):
                 break
         return present
 
-    # Under H1 only the unsettled trials draw the next report.  Row k of
-    # top holds each such trial's (k+1)-th smallest user value so far, so
-    # top[-1] is the n-th smallest: the trial is present at every SNR of
-    # [lo, hi] once top[-1] < lo, and absent at every one once its values
-    # below hi plus the users still to report fall short of n_vote, that is
-    # once top[n_vote - users_left - 1] >= hi.  As with the votes, top and
-    # the draws take turns in the workspace arrays, and one compaction moves
-    # all n_vote rows.
+    # Under H1 only the unsettled trials draw the next user, by the one-dwell
+    # loop.  Row k of top holds each such trial's (k+1)-th smallest user
+    # value so far, so top[-1] is the n-th smallest: the trial is present at
+    # every SNR of [lo, hi] once top[-1] < lo, and absent at every one once
+    # its values below hi plus the users still to report fall short of
+    # n_vote, that is once top[n_vote - users_left - 1] >= hi.  As with the
+    # votes, top and the draws take turns in the workspace arrays, and one
+    # compaction moves all n_vote rows; the caller settles the last user's.
     def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
         settled = 0
         held, spare = ws
@@ -279,14 +296,16 @@ class _Coop(_Noncoop):
         top.fill(np.inf)
         for users_left in range(p.n_users - 1, -1, -1):
             k = top.shape[1]
-            # c lies in spare[:k], and spare[k:2k] is free once c is formed.
-            _, c = super().critical_snrs(p.per_user, lo, hi, gen, k, (spare, spare[k:]))
+            # c lies in spare[:k] (one dwell takes no second array), then spare[k:2k] is free.
+            _, c = super().critical_snrs(p.per_user, lo, hi, gen, k, (spare, None))
             free = spare[k:2 * k]
             for j in range(p.n_vote - 1):  # insert c; the larger value moves on
                 np.maximum(top[j], c, out=free)
                 np.minimum(top[j], c, out=top[j])
                 c, free = free, c
             np.minimum(top[-1], c, out=top[-1])
+            if not users_left:
+                break
             won = top[-1] < lo
             keep = ~won
             if users_left < p.n_vote:  # it needs that many values below hi
@@ -321,30 +340,11 @@ class _Switching(_Noncoop):
         pmd = min(1.0, avg_pmd_switching(p, avg))
         return _pf_column(self, p), pmd
 
-    # Under H1 the states add in dwell order, and only the trials not yet
-    # present at lo draw the next state: every term is >= 0, so a trial's
-    # critical SNR only falls as states add.  The running sums of the
-    # unsettled trials are the two rows of one array, and they and the
-    # draws take turns in the workspace arrays, as coop's votes do.
-    def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
-        settled = 0
-        held, spare = ws
-        sums = held[:2 * n].reshape(2, n)  # energy and weighted
-        sums.fill(0.0)
-        for dwell in p.alloc:
-            k = sums.shape[1]
-            x = _chi_square(gen, dwell, spare[:k])
-            fade = self.fade(p, gen, spare[k:2 * k])
-            fade *= x
-            sums[0] += x
-            sums[1] += fade
-            keep = _critical_snr(p.lam, sums[0], sums[1], out=x) >= lo
-            settled += k - int(np.count_nonzero(keep))
-            sums = _compact(keep, sums, spare)
-            held, spare = spare, held
-            if not sums.shape[1]:
-                break
-        return settled, _critical_snr(p.lam, sums[0], sums[1], out=ws[0][:sums.shape[1]])
+    def describe(self, p) -> tuple[str, str]:
+        return f"Q={p.q} M={p.m}", super().describe(p)[1]
+
+    def dwells(self, p) -> tuple[int, ...]:
+        return p.alloc
 
 
 class _Selection(_Switching):
@@ -355,7 +355,7 @@ class _Selection(_Switching):
     """
 
     variant, scenario = "reconfig-selection", "selection"
-    critical_snrs = _Noncoop.critical_snrs  # one window, on the best state
+    dwells = _Noncoop.dwells  # one window, on the best state
 
     def analytic(self, p, avg) -> tuple[float, float]:
         return _pf_column(self, p), avg_pmd_selection(p.m, p.lam, avg, p.q)

@@ -266,6 +266,13 @@ class TestCalibrateCommand:
         assert lam == pytest.approx(2.0 * float(special.gammainccinv(100, 0.05)),
                                     rel=1e-9)
 
+    @pytest.mark.parametrize("scheme", ["switching", "selection"])
+    def test_reconfig_sizes_show_q(self, tmp_path, capsys, scheme):
+        path = write_scenario(tmp_path / "s.txt", scheme=scheme, q=10, m=100)
+        assert main(["calibrate", "--scenario", path]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"scheme={scheme} Q=10 M=100 alpha=0.05"
+
 
 class TestSweepCommand:
     def test_csv_schema_and_determinism(self, tmp_path, capsys):

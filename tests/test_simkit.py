@@ -525,13 +525,15 @@ GOLDEN_HITS = {
     ("coop", "H0"): 8521, ("coop", "H1"): 195312,
     ("switching", "H0"): 11522, ("switching", "H1"): 197581,
     ("selection", "H0"): 11522, ("selection", "H1"): 199717,
+    # Q = 1 switching is noncoop: one antenna state for the whole window.
+    ("switching-q1", "H0"): 14010, ("switching-q1", "H1"): 164392,
     # Coop H0 with many votes, where a trial stays open over many users.
     ("coop-57-of-57", "H0"): 9933, ("coop-32-of-64", "H0"): 9935,
 }
 GOLDEN_NOTE = ("golden counts were drawn with numpy 2.4.6, this run has "
                f"numpy {np.__version__}; after a numpy upgrade, suspect numpy first")
 # Switching H1 has no exact miss yet (its analytic column is an asymptote).
-EXACT_MODEL_GOLDENS = sorted(set(GOLDEN_HITS) - {("switching", "H1")})
+EXACT_MODEL_GOLDENS = sorted(set(GOLDEN_HITS) - {("switching", "H1"), ("switching-q1", "H1")})
 
 
 GOLDEN_CONFIGS = {
@@ -539,20 +541,27 @@ GOLDEN_CONFIGS = {
     "coop": SchemeConfig.coop(4, 2, 8, 24.0, AvgSnr.from_db(5.0)),
     "switching": SchemeConfig.switching(4, 20, 55.0, AvgSnr.from_db(5.0)),
     "selection": SchemeConfig.selection(4, 20, 55.0, AvgSnr.from_db(5.0)),
+    "switching-q1": SchemeConfig.switching(1, 10, 30.0, AvgSnr.from_db(5.0)),
+    "switching-q3": SchemeConfig.switching(3, 20, 55.0, AvgSnr.from_db(5.0)),  # dwells 7, 7, 6
+    "switching-q5-m3": SchemeConfig.switching(5, 3, 20.0, AvgSnr.from_db(5.0)),  # dwells 1, 1, 1
     # Their thresholds are the alpha = 0.05 ones.
     "coop-57-of-57": SchemeConfig.coop(57, 57, 1737, 3338.9753206468718, AvgSnr.from_db(5.0)),
     "coop-32-of-64": SchemeConfig.coop(64, 32, 10, 21.10255012448796, AvgSnr.from_db(5.0)),
 }
 
 
-# Exact per-point miss counts, and the shared false-alarm count, of two
+# Exact per-point miss counts, and the shared false-alarm count, of
 # fixed-budget sweeps (GOLDEN_TRIALS, seed 2024).  A one-SNR golden has no
 # trial between the grid's ends; these pin the window of critical SNRs that a
-# block sorts, and the compaction of the trials still undecided over a grid.
+# block sorts, and the compaction of the trials still undecided over a grid,
+# with equal and unequal dwells, one-sample dwells (M < Q) and one dwell.
 GOLDEN_SWEEP_GRID_DB = [0.0, 2.5, 5.0, 7.5, 10.0]
 GOLDEN_SWEEP_MISSES = {
     "coop": ([42515, 15789, 4664, 1070, 205], 8540),
     "switching": ([34841, 10929, 2444, 405, 62], 11528),
+    "switching-q3": ([39771, 14906, 4264, 1044, 200], 11528),
+    "switching-q5-m3": ([172233, 143637, 104828, 65196, 34651], 542),
+    "selection": ([8298, 1806, 303, 40, 5], 11528),
 }
 
 
