@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import math
 import os
 import subprocess
@@ -350,6 +351,18 @@ class TestFigureCommand:
             rows = list(csv.DictReader(fh))
         schemes = {r["scheme"] for r in rows}
         assert {"selection-m35", "selection-m33", "noncoop", "coop"} == schemes
+
+    # The analytic CSV bytes on the default grid: a change of quadrature may
+    # move a value's last bits, never the ten digits the CSV prints.
+    @pytest.mark.parametrize("which, digest", [
+        ("fig1", "67d0fd16aa6d0219ee503cc764bab7a417740ce6ef775dc53de6424d51cde898"),
+        ("fig2", "3b8242e87ff635c198aca6a6121b7e2a4f7c46f614fcf11ea3a406f0c757115a"),
+        ("fig3", "570eae700e105a8b37b4c65bb6821c74bb3147ae7578a17d4eb00ef9aa3b01ec"),
+    ], ids=["fig1", "fig2", "fig3"])
+    def test_analytic_csv_bytes(self, tmp_path, capsys, which, digest):
+        out = tmp_path / f"{which}.csv"
+        assert main(["figure", "--which", which, "--mode", "analytic", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_figure_setups_alphas(self):
         assert all(sc.alpha == 0.01 for _, sc in figure_setups("fig1"))
