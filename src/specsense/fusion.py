@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from scipy import special as _sp
 
 from .channel import AvgSnr
-from .detector import DetectorParams, GainSummary, _faded_miss, pf_single
-from .specfun import ConvergenceError, _count, inv_reg_upper_gamma, log_binom
+from .detector import DetectorParams, GainSummary, _faded_miss, calibrate_lambda, pf_single
+from .specfun import ConvergenceError, _count, log_binom
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,16 @@ def calibrate_local_lambda_global(n_users: int, n_vote: int, m: int,
     """Local threshold such that the global false alarm equals alpha.
 
     Inverts binom_tail(N, n, p) = alpha for the local P_F through the inverse
-    incomplete beta, then maps p to lambda through the inverse incomplete
-    gamma.  The result satisfies |P_F_G - alpha| <= 1e-9.  With N = 1 the
-    inverse beta returns alpha itself, so the threshold is the single user's.
+    incomplete beta, then maps p to lambda with ``calibrate_lambda``.  The
+    result satisfies |P_F_G - alpha| <= 1e-9.  With N = 1 the inverse beta
+    returns alpha itself, so the threshold is the single user's.
     """
     params = FusionParams(n_users=n_users, n_vote=n_vote,
                           per_user=DetectorParams(m=m, lam=1.0))
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"false-alarm level must be in (0, 1), got {alpha!r}")
     p = float(_sp.betaincinv(n_vote, n_users - n_vote + 1, alpha))
-    lam = 2.0 * inv_reg_upper_gamma(float(m), p)
+    lam = calibrate_lambda(m, p)
     achieved = binom_tail(n_users, n_vote, pf_single(m, lam))
     if abs(achieved - alpha) > 1e-9:
         raise ConvergenceError(

@@ -20,10 +20,12 @@ pair of float64 arrays, each two blocks long, built at its first block and
 lent to every later one (``_workspace``), so blocks draw into memory that is
 already mapped; only a coop H1 block with more than two votes, whose n
 smallest user values per trial do not fit, gets a pair of its own.
-Energies are drawn in place as twice a standard gamma, which is how numpy
-draws a chi-square, bit for bit.  Settled trials leave by one gather over
-the indices of those kept (``_compact``), written into the array of the
-pair that the step's draws no longer need; the two arrays then swap roles.
+Energies are drawn in place as G = Y/2, a standard gamma, and tested
+against lam/2, as ``pf_single`` reads them; numpy draws a chi-square Y as
+2G, and halving is exact, so each decision is that of numpy's chi-square,
+bit for bit.  Settled trials leave by one gather over the indices of those
+kept (``_compact``), written into the array of the pair that the step's
+draws no longer need; the two arrays then swap roles.
 
 One set of H1 draws serves a whole SNR grid (common random numbers).  A
 trial's energy statistics and unit-mean fades do not depend on the average
@@ -40,18 +42,20 @@ positively correlated.  Every point of a sweep reports at its stream's one
 trial total, escalated or not, so the estimated curve cannot rise.
 
 Per-window energy statistics are drawn from their exact sampling laws
-(chi-square sums of the per-sample energies under the unit-variance-per-real-
-dimension convention), which is distributionally identical to summing squared
-per-sample draws and two orders of magnitude faster.
+(Gamma(l), half the chi-square sum of l per-sample energies under the
+unit-variance-per-real-dimension convention), which is distributionally
+identical to summing squared per-sample draws and two orders of magnitude
+faster.
 
 A trial draws only what can still change its decision anywhere on the grid,
 and ``_batch_decisions`` settles what the last state or user leaves open.
 Switching states add in dwell order (the equal split of M over Q), and a
-trial stops once it is present at the first grid SNR; noncoop, selection
-(whose best-state fade is one uniform, ``channel.draw_best_snr``) and each
-cooperative user are that loop with one dwell.  Users report one at a time,
-and a trial stops once its vote is settled at every grid SNR: present at the
-first, or short of n votes at the last.  Under H0 no fade is drawn.
+trial stops once it is present at the first grid SNR; noncoop and selection
+(whose best-state fade is one uniform, ``channel.draw_best_snr``) are that
+loop with one dwell.  Cooperative users draw one state each and report one
+at a time, and a trial stops once its vote is settled at every grid SNR:
+present at the first, or short of n votes at the last.  Under H0 no fade is
+drawn.
 """
 
 from __future__ import annotations
@@ -84,30 +88,20 @@ def _pf_column(scheme, p) -> float:
     return scheme.pf(p)
 
 
-def _critical_snr(lam: float, energy, weighted, out=None) -> np.ndarray:
-    """(lam - energy) / weighted: the average SNR above which a trial reads present.
+def _critical_snr(half_lam: float, energy, weighted, out=None) -> np.ndarray:
+    """(half_lam - energy) / weighted: the average SNR above which a trial reads present.
 
     A trial decides present at gamma_bar when energy + gamma_bar * weighted >
-    lam, with ``energy`` its chi-square sum and ``weighted`` the sum of each
-    chi-square times its unit-mean fade.  A zero weight gives -inf (present at
-    every SNR) or +inf (absent at every one); energy == lam with a zero weight
-    gives 0/0, set to +inf, since that trial too reads absent at every SNR.
+    half_lam = lam / 2, with ``energy`` its gamma energy (half its chi-square
+    sum) and ``weighted`` the sum of each state's gamma energy times its
+    unit-mean fade.  A zero weight gives -inf (present at every SNR) or +inf
+    (absent at every one); energy == half_lam with a zero weight gives 0/0,
+    set to +inf, since that trial too reads absent at every SNR.
     """
-    out = np.subtract(lam, energy, out=out)
+    out = np.subtract(half_lam, energy, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= weighted
     return np.fmin(out, np.inf, out=out)  # fmin maps NaN to the other operand
-
-
-def _chi_square(gen, half_dof, out) -> np.ndarray:
-    """chi-square(2 * half_dof) draws, written into ``out``.
-
-    numpy draws ``chisquare(2k)`` as ``2 * standard_gamma(k)``, so these are
-    its draws bit for bit, without an array of their own.
-    """
-    gen.standard_gamma(half_dof, out=out)
-    out *= 2
-    return out
 
 
 def _compact(keep, values, out) -> np.ndarray:
@@ -193,7 +187,7 @@ class _Noncoop:
         return (p.m,)  # one antenna state for the whole window
 
     def false_alarms(self, p, gen, n: int, ws) -> int:
-        return int(np.count_nonzero(_chi_square(gen, p.m, ws[0][:n]) > p.lam))
+        return int(np.count_nonzero(gen.standard_gamma(p.m, out=ws[0][:n]) > p.lam / 2))
 
     def fade(self, p, gen, out) -> np.ndarray:
         """Unit-mean fades of one antenna state, written into ``out``."""
@@ -205,18 +199,19 @@ class _Noncoop:
     # the running sums; the open trials' sums then move to the other array,
     # as coop's votes do, and each later state is drawn into the one left.
     def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
+        half = p.lam / 2
         held, spare = ws
         first, *rest = self.dwells(p)
         sums = self._state(p, first, gen, held[:2 * n].reshape(2, n))
         for dwell in rest:
-            keep = _critical_snr(p.lam, *sums, out=spare[:sums.shape[1]]) >= lo
+            keep = _critical_snr(half, *sums, out=spare[:sums.shape[1]]) >= lo
             sums = _compact(keep, sums, spare)
             held, spare = spare, held
             sums += self._state(p, dwell, gen, spare[:sums.size].reshape(sums.shape))
-        return n - sums.shape[1], _critical_snr(p.lam, *sums, out=ws[0][:sums.shape[1]])
+        return n - sums.shape[1], _critical_snr(half, *sums, out=ws[0][:sums.shape[1]])
 
     def _state(self, p, dwell: int, gen, out) -> np.ndarray:  # rows: energy, fade * energy
-        _chi_square(gen, dwell, out[0])
+        gen.standard_gamma(dwell, out=out[0])
         self.fade(p, gen, out[1])
         out[1] *= out[0]
         return out
@@ -225,8 +220,8 @@ class _Noncoop:
 class _Coop(_Noncoop):
     """N users, n-out-of-N fusion; the threshold holds the global level alpha.
 
-    A user votes present under H0 when its energy exceeds lam, and under H1
-    above its own critical SNR, so a trial's critical SNR is the n-th
+    A user votes present under H0 when its energy exceeds lam / 2, and under
+    H1 above its own critical SNR, so a trial's critical SNR is the n-th
     smallest of its users'.
     """
 
@@ -272,7 +267,7 @@ class _Coop(_Noncoop):
         votes = held[:n]  # of the undecided trials
         votes.fill(0.0)
         for users_left in range(p.n_users - 1, -1, -1):
-            votes += _chi_square(gen, d.m, spare[:votes.size]) > d.lam
+            votes += gen.standard_gamma(d.m, out=spare[:votes.size]) > d.lam / 2
             won = votes >= p.n_vote
             present += int(np.count_nonzero(won))
             votes = _compact(~won & (votes >= p.n_vote - users_left), votes, spare)
@@ -281,24 +276,27 @@ class _Coop(_Noncoop):
                 break
         return present
 
-    # Under H1 only the unsettled trials draw the next user, by the one-dwell
-    # loop.  Row k of top holds each such trial's (k+1)-th smallest user
-    # value so far, so top[-1] is the n-th smallest: the trial is present at
-    # every SNR of [lo, hi] once top[-1] < lo, and absent at every one once
-    # its values below hi plus the users still to report fall short of
-    # n_vote, that is once top[n_vote - users_left - 1] >= hi.  As with the
-    # votes, top and the draws take turns in the workspace arrays, and one
-    # compaction moves all n_vote rows; the caller settles the last user's.
+    # Under H1 only the unsettled trials draw the next user's window, one
+    # state, and its critical SNR c.  Row k of top holds each such trial's
+    # (k+1)-th smallest c so far, so top[-1] is the n-th smallest.  The trial
+    # is present at every SNR of [lo, hi] once top[-1] < lo, and absent at
+    # every one once its values below hi plus the users still to report fall
+    # short of n_vote, that is once top[n_vote - users_left - 1] >= hi.  As
+    # with the votes, top and the draws take turns in the workspace arrays,
+    # and one compaction moves all n_vote rows; the caller settles the last
+    # user's.
     def critical_snrs(self, p, lo: float, hi: float, gen, n: int, ws):
+        d = p.per_user
+        half = d.lam / 2
         settled = 0
         held, spare = ws
         top = held[:p.n_vote * n].reshape(p.n_vote, n)
         top.fill(np.inf)
         for users_left in range(p.n_users - 1, -1, -1):
             k = top.shape[1]
-            # c lies in spare[:k] (one dwell takes no second array), then spare[k:2k] is free.
-            _, c = super().critical_snrs(p.per_user, lo, hi, gen, k, (spare, None))
-            free = spare[k:2 * k]
+            energy, weighted = self._state(d, d.m, gen, spare[:2 * k].reshape(2, k))
+            c = _critical_snr(half, energy, weighted, out=energy)
+            free = weighted  # spent once c is formed
             for j in range(p.n_vote - 1):  # insert c; the larger value moves on
                 np.maximum(top[j], c, out=free)
                 np.minimum(top[j], c, out=top[j])

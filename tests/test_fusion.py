@@ -131,9 +131,13 @@ class TestGlobalProbabilities:
 
 
 class TestGlobalCalibration:
+    # With N = 1 the inverse beta returns alpha itself, so the threshold is
+    # the single user's, bit for bit.
     def test_single_user_reduces_to_detector(self):
-        assert calibrate_local_lambda_global(1, 1, 10, 0.05) == pytest.approx(
-            calibrate_lambda(10, 0.05), rel=1e-12)
+        for m in (1, 10, 1737):
+            for alpha in (1e-6, 0.05, 0.9):
+                assert calibrate_local_lambda_global(1, 1, m, alpha) == \
+                    calibrate_lambda(m, alpha), (m, alpha)
 
     def test_or_rule_closed_form(self):
         lam = calibrate_local_lambda_global(10, 1, 10, 0.05)

@@ -637,13 +637,28 @@ class TestGoldenCounts:
 class TestBlockWorkspace:
     """Blocks draw into their thread's reused arrays and keep every bit."""
 
-    # The engine draws chi-square(2k) as twice a standard gamma, in place.
+    # The engine draws each window's energy as a Gamma(k) value and tests it
+    # against lam / 2; its decisions must be those of numpy's chi-square(2k)
+    # draws against lam, bit for bit, ties included.
     @pytest.mark.parametrize("k", [1, 4, 5, 8, 10, 20, 1737])
-    def test_twice_standard_gamma_is_chisquare(self, k):
+    def test_gamma_energies_decide_as_chisquare(self, k):
+        n = 4096
         stream = RandomStream(seed=9, stream_id=k)
-        want = stream.generator().chisquare(2 * k, 4096)
-        got = simkit._chi_square(stream.generator(), k, np.empty(4096))
-        assert got.tobytes() == want.tobytes(), GOLDEN_NOTE
+        gen = stream.generator()
+        x = gen.chisquare(2 * k, n)
+        e = gen.standard_exponential(n)
+        for lam in (float(np.median(x)), float(x[0])):
+            config = SchemeConfig.noncoop(k, lam, 1.0)
+            [h0] = simkit._batch_decisions(config, None, stream.generator(), n)
+            assert h0 == np.count_nonzero(x > lam), GOLDEN_NOTE
+            ws = (np.empty(2 * n), np.empty(2 * n))
+            settled, c = config.scheme.critical_snrs(config.payload, 0.5, 2.0,
+                                                     stream.generator(), n, ws)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.fmin((lam - x) / (x * e), np.inf)
+            assert settled == 0
+            assert c.tobytes() == want.tobytes(), GOLDEN_NOTE
+        assert np.count_nonzero(x >= lam) == h0 + 1  # the tie at x[0] reads absent
 
     GAMMAS = np.array([AvgSnr.from_db(s).gamma_bar for s in GOLDEN_SWEEP_GRID_DB])
     CONFIGS = [GOLDEN_CONFIGS[name] for name in ("noncoop", "coop", "switching", "selection")] + [
