@@ -6,7 +6,7 @@ order min(M, Q) without any cooperation.  With channel knowledge the user
 senses on the best state instead and pockets the harmonic-number selection
 gain on top.
 
-Monte Carlo here uses modest trial counts (a minute or so); the analytic
+Monte Carlo here uses modest trial counts (about a second); the analytic
 columns come from the library's quadrature forms.
 
 Run:  python demos/demo_reconfigurable_antenna.py

@@ -32,7 +32,8 @@ import numpy as np
 from .channel import AvgSnr
 from .reconfig import reduced_samples
 from .simkit import (_MAX_TRIALS, _MIN_EVENTS, _Z99, SCENARIO_SCHEMES, SchemeConfig,
-                     _check_budget, estimate_point, fit_diversity_slope, sweep)
+                     _check_budget, estimate_point, fit_diversity_slope, sweep,
+                     sweep_curves)
 from .specfun import ConvergenceError
 
 _MODES = ("analytic", "mc", "both")
@@ -192,15 +193,10 @@ def _fmt(x) -> str:
     return format(float(x), ".10g")
 
 
-def _curve_rows(label: str, sc: ScenarioFile, seed: int):
-    """CSV rows for one scheme swept over its scenario grid."""
-    config = build_config(sc)
-    grid = sc.snr_grid_db
+def _curve_rows(label: str, sc: ScenarioFile, seed: int, config: SchemeConfig, curve):
+    """CSV rows for one scheme over its scenario grid; ``curve`` is its MC sweep, or None."""
     rows = []
-    curve = None
-    if sc.mode in ("mc", "both"):
-        curve = sweep(config, grid, sc.trials, seed)
-    for i, snr_db in enumerate(grid):
+    for i, snr_db in enumerate(sc.snr_grid_db):
         pf_a = pmd_a = None
         if sc.mode in ("analytic", "both"):
             pf_a, pmd_a = analytic_columns(config, snr_db)
@@ -235,10 +231,22 @@ def cmd_calibrate(sc: ScenarioFile) -> int:
 def _write_csv(out: str, curves) -> int:
     """Write each (label, scenario, seed) curve's rows to ``out`` as one CSV.
 
-    Every row is computed before the file is opened, so a failure leaves no
-    partial CSV.
+    The curves are those of one command, so they share its mode and trial
+    budget.  Each curve's config is built once, and in the mc and both
+    modes one ``sweep_curves`` call sweeps them all: each round's H0 and H1
+    blocks, of every curve, go to the block pool in one map, and each
+    curve keeps the bits of a ``sweep`` of its own.  Every row is computed
+    before the file is opened, so a failure leaves no partial CSV.
     """
-    rows = [row for label, sc, seed in curves for row in _curve_rows(label, sc, seed)]
+    configs = [build_config(sc) for _, sc, _ in curves]
+    _, shared, _ = curves[0]
+    swept = [None] * len(curves)
+    if shared.mode in ("mc", "both"):
+        swept = sweep_curves([(config, sc.snr_grid_db, seed)
+                              for config, (_, sc, seed) in zip(configs, curves)],
+                             shared.trials)
+    rows = [row for (label, sc, seed), config, curve in zip(curves, configs, swept)
+            for row in _curve_rows(label, sc, seed, config, curve)]
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)

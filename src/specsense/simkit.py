@@ -11,9 +11,13 @@ given seed and total trial count no matter how blocks are scheduled.  A
 block returns its counts of "present" decisions, and counts merge by
 integer addition.  Blocks run concurrently on a thread pool sized to the
 CPU affinity (numpy's generators and ufuncs release the GIL), and an
-escalating stream keeps the counts of the blocks it has already drawn.  The
-pool is built at import, which starts no thread: an executor starts its
-threads at its first submit.
+escalating stream keeps the counts of the blocks it has already drawn.  All
+the curves of one ``sweep_curves`` call (a ``specsense figure``) share one
+map per round, over every curve's H0 and H1 blocks, so the pool drains once
+per round rather than once per curve; a block's bits still depend only on
+(seed, stream, block, take) and its grid's ends.  The pool is built at
+import, which starts no thread: an executor starts its threads at its first
+submit.
 
 A block allocates no float64 array of block size.  Each thread keeps one
 pair of float64 arrays, each two blocks long, built at its first block and
@@ -531,9 +535,10 @@ def _estimate(streams: list[_Stream], trials: int, max_trials: int) -> list[list
     A stream with a point short of its ``min_events`` "absent" decisions
     escalates tenfold, capped at ``max_trials``, and every point of a stream
     reports at the stream's final total.  Each round draws, in one map over
-    the block pool, only the blocks that no earlier round has counted, so
-    escalating to T trials gives the same bits as asking for T trials at
-    once.
+    the block pool, only the blocks that no earlier round has counted, of
+    every stream given (all the curves of a figure), so escalating to T
+    trials gives the same bits as asking for T trials at once, and a
+    stream's bits do not depend on the streams mapped beside it.
     """
     totals = [trials] * len(streams)
     while True:
@@ -623,8 +628,10 @@ if hasattr(os, "register_at_fork"):
 def _map(fn, items) -> list:
     """``[fn(x) for x in items]``, on the block pool.
 
-    Results come in list order: the first failing item in that order
-    raises, and items not yet started are cancelled.
+    One call per round of ``_estimate``: its items are the blocks of every
+    stream in that round, whichever curve they belong to.  Results come in
+    list order: the first failing item in that order raises, and items not
+    yet started are cancelled.
     """
     return list(_pool.map(fn, items))
 
@@ -648,22 +655,45 @@ def sweep(config_template: SchemeConfig, snr_grid_db, trials: int, seed: int,
     stream escalates while any point is short, and every point reports at
     its final total.  Leave it None for fixed-budget figure exports.
 
-    The H0 and H1 blocks of each round go to the block pool in one map.
+    This is the one-curve case of :func:`sweep_curves`, which gives the
+    same curve for this entry whatever other curves it sweeps beside it.
     """
-    snr_grid_db = [float(s) for s in snr_grid_db]
-    if not snr_grid_db:
-        raise ValueError("SNR grid must be nonempty")
-    _check_increasing(snr_grid_db)  # before any block is drawn
+    [curve] = sweep_curves([(config_template, snr_grid_db, seed)], trials,
+                           min_events=min_events, max_trials=max_trials)
+    return curve
+
+
+def sweep_curves(curves, trials: int, *, min_events: int | None = None,
+                 max_trials: int = _MAX_TRIALS) -> list[SweepCurve]:
+    """One :func:`sweep` per (config, snr_grid_db, seed) entry, with one block map per round.
+
+    Every entry's grid is checked (nonempty, strictly increasing), and then
+    the budget, before any block is planned.  Each curve keeps its H0
+    stream 0 and its H1 stream 1 under its own seed, and each H1 stream
+    escalates on its own, so every curve has the bits that ``sweep`` gives
+    it alone.  The H0 and H1 blocks of every curve that a round still
+    needs go to the block pool in one map, so the pool drains once per
+    round, not once per curve.
+    """
+    grids = []
+    for _, snr_grid_db, _ in curves:
+        snr_grid_db = [float(s) for s in snr_grid_db]
+        if not snr_grid_db:
+            raise ValueError("SNR grid must be nonempty")
+        _check_increasing(snr_grid_db)  # before any block is drawn
+        grids.append(snr_grid_db)
     _check_budget(trials, min_events, max_trials)
-    gammas = np.array([AvgSnr.from_db(s).gamma_bar for s in snr_grid_db])
-    [pf_est], dets = _estimate(
-        [_Stream(config_template, None, seed, 0, None),
-         _Stream(config_template, gammas, seed, 1, min_events)],
-        int(trials), int(max_trials))
+    streams = []
+    for (config, _, seed), snr_grid_db in zip(curves, grids):
+        gammas = np.array([AvgSnr.from_db(s).gamma_bar for s in snr_grid_db])
+        streams += [_Stream(config, None, seed, 0, None),
+                    _Stream(config, gammas, seed, 1, min_events)]
+    estimates = _estimate(streams, int(trials), int(max_trials))
     # The Wald half-width is symmetric, so the miss keeps the detection's.
-    return SweepCurve(points=tuple(
+    return [SweepCurve(points=tuple(
         SweepPoint(snr_db=snr_db, pmd=replace(det, value=1.0 - det.value), pf=pf_est)
         for snr_db, det in zip(snr_grid_db, dets)))
+        for snr_grid_db, [pf_est], dets in zip(grids, estimates[0::2], estimates[1::2])]
 
 
 def fit_diversity_slope(curve: SweepCurve, window_db: tuple[float, float]) -> float:

@@ -364,6 +364,20 @@ class TestFigureCommand:
         assert main(["figure", "--which", which, "--mode", "analytic", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    # The Monte Carlo CSV bytes at the default seed: every change of the
+    # engine that keeps its bits keeps these, whatever it does to scheduling.
+    @pytest.mark.parametrize("which, digest, size", [
+        ("fig1", "5389c66e9c5552fd432e6ee08280ac304516712c1fa4f8b77d9341abc26a457a", 21059),
+        ("fig2", "c4148487e687bdb4c75f108dec00e3afe6005d01a66506b443085b7f005a67b2", 12395),
+        ("fig3", "9c85a1902c5d00f215e770d0fc6eb53e83108fb756dbf00637fda03c84ff1426", 13211),
+    ], ids=["fig1", "fig2", "fig3"])
+    def test_monte_carlo_csv_bytes(self, tmp_path, capsys, which, digest, size):
+        out = tmp_path / f"{which}.csv"
+        assert main(["figure", "--which", which, "--mode", "both", "--trials", "20000",
+                     "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (digest, size)
+
     def test_figure_setups_alphas(self):
         assert all(sc.alpha == 0.01 for _, sc in figure_setups("fig1"))
         assert all(sc.alpha == 0.05 for _, sc in figure_setups("fig2"))

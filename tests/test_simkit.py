@@ -634,6 +634,67 @@ class TestGoldenCounts:
         assert pmds == sorted(pmds, reverse=True)
 
 
+class TestSweepCurves:
+    """Many curves in one call: each keeps the bits of a sweep of its own."""
+
+    # All four schemes, two one-point grids, and 100 000 trials: one full
+    # block and a partial last block per stream.
+    FIXED = [
+        (GOLDEN_CONFIGS["noncoop"], [5.0], 11),
+        (GOLDEN_CONFIGS["coop"], GOLDEN_SWEEP_GRID_DB, 12),
+        (GOLDEN_CONFIGS["switching-q3"], [-5.0, 0.0, 5.0], 13),
+        (GOLDEN_CONFIGS["selection"], [3.0], 14),
+    ]
+    # With min_events = 100 from 1000 trials, the noncoop curve stops at
+    # 1e5 trials and the switching one at 1e6.
+    ESCALATING = [
+        (GOLDEN_CONFIGS["noncoop"], [15.0, 20.0], 7),
+        (GOLDEN_CONFIGS["switching"], [7.5, 10.0], 7),
+    ]
+
+    def test_fixed_budget_curves_equal_separate_sweeps(self):
+        trials = 100_000
+        assert trials % simkit._BLOCK
+        together = simkit.sweep_curves(self.FIXED, trials)
+        assert together == [sweep(config, grid, trials, seed)
+                            for config, grid, seed in self.FIXED]
+        assert [len(c.points) for c in together] == [1, 5, 3, 1]
+
+    def test_escalating_curves_stop_at_their_own_totals(self):
+        kwargs = {"min_events": 100, "max_trials": 10 ** 7}
+        together = simkit.sweep_curves(self.ESCALATING, 1000, **kwargs)
+        assert together == [sweep(config, grid, 1000, seed, **kwargs)
+                            for config, grid, seed in self.ESCALATING]
+        assert [{p.pmd.trials for p in c.points} for c in together] == [{10 ** 5}, {10 ** 6}]
+
+    @pytest.mark.parametrize("bad, match", [
+        ([], "nonempty"), ([5.0, 0.0], "strictly increasing"),
+    ], ids=["empty", "decreasing"])
+    def test_every_grid_is_checked_before_any_block_is_planned(self, monkeypatch, bad, match):
+        def refuse(total):
+            raise AssertionError("a block was planned")
+
+        monkeypatch.setattr(simkit, "_block_plan", refuse)
+        curves = self.FIXED[:1] + [(GOLDEN_CONFIGS["coop"], bad, 12)]
+        with pytest.raises(ValueError, match=match):
+            simkit.sweep_curves(curves, 1000)
+
+    def test_a_figure_maps_its_blocks_once_per_round(self, monkeypatch, tmp_path, capsys):
+        from specsense.cli import main
+        maps = []
+        pool_map = simkit._map
+
+        def spy(fn, items):
+            maps.append(len(items))
+            return pool_map(fn, items)
+
+        monkeypatch.setattr(simkit, "_map", spy)
+        assert main(["figure", "--which", "fig2", "--mode", "mc", "--trials", "100000",
+                     "--out", str(tmp_path / "fig2.csv")]) == 0
+        # Four curves, two streams each, of one full and one partial block.
+        assert maps == [4 * 2 * 2]
+
+
 class TestBlockWorkspace:
     """Blocks draw into their thread's reused arrays and keep every bit."""
 
