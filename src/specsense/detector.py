@@ -33,15 +33,17 @@ from .specfun import (
 )
 
 # The fading rule (see ``_faded_miss``): peak search grid over u = log(lam/(2g))
-# and its image x = log(e^u - 1); even interval count (1024 keep the estimate
-# near rounding over the input box, where 512 raise at M = 1, Q = 64) and node
-# fractions; window depth below the peak in nats; largest relative error estimate.
+# and its image x = log(e^u - 1); the largest interval count (1024 keep the
+# estimate near rounding over the input box, where 512 raise at M = 1, Q = 64)
+# and the node fractions of each level: all 257 nodes of 256 intervals, then
+# the midpoints that each doubling adds; window depth below the peak in nats;
+# largest relative error estimate.
 _SEARCH = np.geomspace(1e-13, 800.0, 320)
 with np.errstate(over="ignore"):
     _EXPM1_SEARCH = np.expm1(_SEARCH)  # inf at the top, where the fading CDF is 1
     _X_SEARCH = np.log(_EXPM1_SEARCH)
 _K = 1024
-_STEPS = np.linspace(0.0, 1.0, _K + 1)
+_LEVELS = (np.linspace(0.0, 1.0, 257),) + tuple(np.arange(1, k, 2) / k for k in (512, _K))
 _SPAN = 60.0
 _TOL = 1e-10
 # Operating points each SNR-independent cache keeps; fig1-fig3 together fill 12.
@@ -63,6 +65,14 @@ def _threshold_side(m: int, lam: float):
     return log_half, math.lgamma(m), gamma_part
 
 
+def _log_integrand(x: np.ndarray, m: int, log_half: float, scale: float, q: int) -> np.ndarray:
+    """The log-integrand of ``_faded_miss`` at the nodes x, scale = -1/gamma_bar."""
+    t = np.exp(x)
+    u = np.log1p(t)
+    log_g = log_half - u
+    return m * log_g - np.exp(log_g) + q * np.log(-np.expm1(t * scale)) + x - u
+
+
 def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     """int_0^{lam/2} f_M(g) F(lam/(2g) - 1) dg: Gamma(M) density, fading CDF F.
 
@@ -73,13 +83,17 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
     integral outside it is under 1e-26 of the whole.  Over x = log(e^u - 1),
     with t = e^x, u = log1p(t) and du/dx = e^{x - u}, the log-integrand's
     singularities lie at Im x = +-pi/2 and +-pi, so the trapezoid rule on
-    ``_K`` + 1 uniform nodes converges geometrically; the same rule on every
-    other node is the error estimate.  A window from the first search point
-    starts at x = log(expm1(1e-13)), not at u = 0: over the input box the
-    integrand there is at least 43 nats below its peak (44.6 at M = 10^4,
-    alpha = 0.9, Q = 1, -40 dB) and falls further left as e^{(q+1)x}, so the
-    part left out is about e^-43/(q+1) of the peak.  A result below the
-    smallest double reads 0.0; one that rounding lifts above 1 reads 1.0.
+    uniform nodes converges geometrically; the same rule on every other node
+    is the error estimate.  The rule starts with 256 intervals; while the
+    estimate exceeds ``_TOL`` it doubles them by adding the midpoints, so a
+    level evaluates only its new nodes, scaled by the first level's peak.
+    At ``_K`` intervals it stops and raises ConvergenceError if the estimate
+    still exceeds ``_TOL``.  A window from the first search point starts at
+    x = log(expm1(1e-13)), not at u = 0: over the input box the integrand
+    there is at least 43 nats below its peak (44.6 at M = 10^4, alpha = 0.9,
+    Q = 1, -40 dB) and falls further left as e^{(q+1)x}, so the part left
+    out is about e^-43/(q+1) of the peak.  A result below the smallest
+    double reads 0.0; one that rounding lifts above 1 reads 1.0.
     """
     log_half, ln_gamma_m, gamma_part = _threshold_side(m, lam)
     scale = -1.0 / gamma_bar
@@ -87,20 +101,26 @@ def _faded_miss(m: int, lam: float, gamma_bar: float, q: int = 1) -> float:
         values = gamma_part + q * np.log(-np.expm1(_EXPM1_SEARCH * scale))
         first, last = (values >= values.max() - _SPAN).nonzero()[0][[0, -1]]
         lo, hi = _X_SEARCH[max(first - 1, 0)], _X_SEARCH[min(last + 1, _SEARCH.size - 1)]
-        x = lo + (hi - lo) * _STEPS
-        t = np.exp(x)
-        u = np.log1p(t)
-        log_g = log_half - u
-        log_h = m * log_g - np.exp(log_g) + q * np.log(-np.expm1(t * scale)) + x - u
+        log_h = _log_integrand(lo + (hi - lo) * _LEVELS[0], m, log_half, scale, q)
         peak = log_h.max()
         h = np.exp(log_h - peak)
-    ends = (h[0] + h[-1]) / 2.0
-    step = (hi - lo) / _K
-    total = float(h.sum() - ends) * step
-    error = abs(total - float(h[::2].sum() - ends) * 2.0 * step)
-    if not error <= _TOL * total:
-        raise ConvergenceError(f"fading average error estimate {error / total:.1e} at "
-                               f"M={m}, lam={lam}, gamma_bar={gamma_bar}, Q={q}")
+        # fine: the trapezoid sum over all nodes so far, in units of the
+        # finest step; the same sum on every other node is 2 * the last fine.
+        intervals = h.size - 1
+        ends = (h[0] + h[-1]) / 2.0
+        fine = float(h.sum() - ends)
+        error = abs(fine - 2.0 * float(h[::2].sum() - ends)) / fine
+        for fractions in _LEVELS[1:]:
+            if error <= _TOL:
+                break
+            log_h = _log_integrand(lo + (hi - lo) * fractions, m, log_half, scale, q)
+            intervals *= 2
+            coarse, fine = 2.0 * fine, fine + float(np.exp(log_h - peak).sum())
+            error = abs(fine - coarse) / fine
+    if not error <= _TOL:
+        raise ConvergenceError(f"fading average error estimate {error:.1e} at {intervals} "
+                               f"intervals, M={m}, lam={lam}, gamma_bar={gamma_bar}, Q={q}")
+    total = fine * (hi - lo) / intervals
     return min(1.0, math.exp(peak - ln_gamma_m + math.log(total)))
 
 

@@ -10,7 +10,10 @@ checked by two independent integral forms.  These tests only read it.
   relative or ConvergenceError, and none raises today;
 * a true miss below 1e-300 comes back at most 1e-300, without an exception;
 * the part of the integral left of the rule's window is negligible, and a
-  grid too coarse for a narrow peak raises rather than return a value.
+  grid too coarse for a narrow peak raises rather than return a value;
+* the rule refines by doubling: the box's narrowest peaks need the later
+  levels and meet 1e-11 with them, and at the cap the nested sums are the
+  one-shot trapezoid on 1025 nodes.
 """
 
 import json
@@ -129,10 +132,65 @@ def test_the_left_end_lies_43_nats_below_the_peak():
 
 def test_a_grid_too_coarse_for_the_peak_raises(monkeypatch):
     """M = 1, Q = 64 gives the box's narrowest peak; 64 intervals cannot hold it."""
-    monkeypatch.setattr(detector, "_K", 64)
-    monkeypatch.setattr(detector, "_STEPS", np.linspace(0.0, 1.0, 65))
-    with pytest.raises(ConvergenceError, match="fading average error estimate"):
+    monkeypatch.setattr(detector, "_LEVELS", (np.linspace(0.0, 1.0, 65),))
+    with pytest.raises(ConvergenceError, match="fading average error estimate") as raised:
         _faded_miss(1, calibrate_lambda(1, 0.01), 1.0, 64)
+    assert " at 64 intervals, " in str(raised.value)
+
+
+def _box_cells_m1_q64():
+    cells = [c for c in CELLS if c["kind"] == "box" and c["m"] == 1 and c["q"] == 64]
+    assert len(cells) == 3 * 5
+    return cells
+
+
+def test_the_later_levels_hold_what_the_first_cannot(monkeypatch):
+    """The box's narrowest peaks need more than 256 intervals, and get them."""
+    errors, raised = _check(_box_cells_m1_q64(), 1e-11)
+    assert not raised and len(errors) == 3 * 5
+    monkeypatch.setattr(detector, "_LEVELS", detector._LEVELS[:1])
+    errors, raised = _check(_box_cells_m1_q64(), 1e-11)
+    assert not errors and len(raised) == 3 * 5
+
+
+def _integrand_nodes(monkeypatch, m, lam, q):
+    """The rule's value at 0 dB and the nodes of each level it evaluated."""
+    levels = []
+    log_integrand = detector._log_integrand
+
+    def record(x, *args):
+        levels.append(x.copy())
+        return log_integrand(x, *args)
+
+    monkeypatch.setattr(detector, "_log_integrand", record)
+    return _faded_miss(m, lam, 1.0, q), levels
+
+
+def test_a_wide_peak_stops_at_the_first_level(monkeypatch):
+    _, levels = _integrand_nodes(monkeypatch, 4, calibrate_lambda(4, 0.01), 1)
+    assert [x.size for x in levels] == [257]
+
+
+def test_the_nested_levels_are_one_trapezoid_on_1025_nodes(monkeypatch):
+    """At the cap the levels' sums add up to the one-shot 1025-node rule.
+
+    The cell refines to 1024 intervals; the trapezoid over the union of its
+    nodes is written out here from the integrand's definition.
+    """
+    m, lam, q = 1, calibrate_lambda(1, 0.01), 64
+    got, levels = _integrand_nodes(monkeypatch, m, lam, q)
+    assert [x.size for x in levels] == [257, 256, 512]
+    x = np.sort(np.concatenate(levels))
+    lo, hi = x[0], x[-1]
+    np.testing.assert_array_equal(x, lo + (hi - lo) * np.linspace(0.0, 1.0, 1025))
+    t = np.exp(x)
+    u = np.log1p(t)
+    log_g = math.log(lam / 2.0) - u
+    log_h = m * log_g - np.exp(log_g) + q * np.log(-np.expm1(-t)) + x - u
+    peak = log_h.max()
+    h = np.exp(log_h - peak)
+    total = (h.sum() - (h[0] + h[-1]) / 2.0) * (hi - lo) / 1024
+    assert got == pytest.approx(math.exp(peak - math.lgamma(m)) * total, rel=1e-14, abs=0.0)
 
 
 # Near the worst low-SNR corner of the box the rule's 1e-10 error can carry
